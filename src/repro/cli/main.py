@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import signal
 import sys
 import time
 from typing import Sequence
@@ -1047,11 +1048,16 @@ def cmd_serve(args) -> int:
         f"POST /v1/recommend, POST /v1/recommend_batch, "
         f"GET /healthz, GET /metrics)"
     )
+    # SIGTERM (an orchestrator's stop, a parent's terminate()) takes the
+    # Ctrl-C path, so in-flight requests are drained either way.
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:
         print("shutting down")
+    finally:
+        signal.signal(signal.SIGTERM, previous)
         server.stop()
     return 0
 

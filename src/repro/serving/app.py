@@ -223,9 +223,7 @@ class ServingCluster:
             stages,
             terminal=StaticRecommender(self._static_items),
             reserve_seconds=policy.fallback_reserve_ms / 1000.0,
-            stage_workers=policy.stage_workers,
             clock=clock,
-            inline_stages=policy.inline_stages,
         )
 
     def _pod_wal_path(self, pod_id: str) -> str | None:
@@ -489,6 +487,17 @@ class ServingCluster:
         if callable(close):
             close()
 
+    def close(self) -> None:
+        """Release worker pools and result caches (idempotent).
+
+        The cluster stays usable: pools are rebuilt on demand. Session
+        stores are left open; they belong to the pods' lifecycle.
+        """
+        for server in self.pods.values():
+            self._close_recommender(server.recommender)
+        if self._batch_engine is not None:
+            self._batch_engine.close()
+
     # -- streaming ingestion -------------------------------------------------
 
     def attach_streaming(self, pipeline: Any) -> None:
@@ -627,7 +636,8 @@ class ServingCluster:
         return sum(server.stats.requests for server in self.pods.values())
 
     def all_service_times(self) -> list[float]:
-        """Service times across pods (for latency percentile reporting)."""
+        """Recent service times across pods (each pod keeps a bounded
+        window), for latency percentile reporting."""
         times: list[float] = []
         for server in self.pods.values():
             times.extend(server.stats.service_times)

@@ -25,17 +25,38 @@ When the cluster runs with guardrails, a saturated admission queue turns
 into HTTP 429 with a ``Retry-After`` header, and successful responses
 carry ``"degraded"``/``"stage"`` reporting which fallback stage answered.
 
-The server is threaded; the underlying KV store and metrics registry are
-thread-safe, so concurrent frontend requests behave like the paper's
-multi-core pods.
+Connection model. The server speaks HTTP/1.1 with keep-alive: one thread
+per *connection* (not per request), at most :data:`MAX_CONNECTIONS` of
+them. A connection costs a TCP handshake, an accept and a thread start
+once, and every later request on it only the read, the work and the
+write. The underlying KV store and metrics registry are thread-safe, so
+concurrent frontend connections behave like the paper's multi-core pods.
+
+* Every response carries ``Content-Length`` and leaves through a buffered
+  writer flushed once per request, so headers and body are one segment.
+  Written separately, the second small write waits in Nagle's algorithm
+  for the client's delayed ACK: 40 ms on a 1 ms request. ``TCP_NODELAY``
+  covers the responses larger than the buffer.
+* :data:`SOCKET_TIMEOUT_S` bounds every read and write, so a client that
+  stalls mid-header or mid-body, a half-open peer, or an idle kept-alive
+  connection gives its thread back.
+* A body is framed by a validated ``Content-Length`` (400 / 411 / 413) and
+  read in full before routing; whenever it is not consumed the connection
+  closes, because the unread bytes would be parsed as the next request.
+* :meth:`SerenadeHTTPServer.stop` stops accepting, lets requests in flight
+  finish (at most :data:`DRAIN_TIMEOUT_S`), closes idle connections, then
+  releases the cluster's pools.
 """
 
 from __future__ import annotations
 
 import json
+import socket
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Any
 
 from repro.core.deadline import Clock
 from repro.serving.app import ServingCluster
@@ -43,6 +64,20 @@ from repro.serving.monitoring import MetricsRegistry
 from repro.serving.resilience import BreakerState, Overloaded
 from repro.serving.server import RecommendationRequest
 from repro.serving.variants import ServingVariant
+
+#: Socket timeout of a connection, for reads and writes alike: how long a
+#: stalled or idle client may hold its thread.
+SOCKET_TIMEOUT_S = 5.0
+#: Open connections, i.e. handler threads. Kept above admission control's
+#: default ``queue_capacity`` (256) so that overload is still shed by the
+#: 429 path, which answers, and not by the accept queue, which does not.
+MAX_CONNECTIONS = 512
+#: How long ``stop()`` waits for requests in flight. Under the 5 s after
+#: which a supervisor's ``terminate`` is typically followed by ``kill``.
+DRAIN_TIMEOUT_S = 3.0
+#: Largest accepted request body: a 10 000-session batch (the limit
+#: ``parse_batch_payload`` enforces) of 50 clicks each at 8 bytes per id.
+MAX_BODY_BYTES = 4 * 1024 * 1024
 
 _BREAKER_STATE_VALUES = {
     BreakerState.CLOSED: 0.0,
@@ -149,6 +184,15 @@ class SerenadeService:
         )
         self._batch_sessions = self.metrics.counter(
             "serenade_batch_sessions_total", "Sessions served through batches"
+        )
+        # requests_total / connections_total is requests per connection:
+        # 1 without keep-alive, the client's reuse with it.
+        self._connections = self.metrics.counter(
+            "serenade_http_connections_total", "TCP connections accepted"
+        )
+        self._open_connections = self.metrics.gauge(
+            "serenade_http_open_connections",
+            "TCP connections currently open (one handler thread each)",
         )
         # SLA guardrail series; monotonic counters mirror the cluster's
         # running totals (synced on scrape), the gauge is point-in-time.
@@ -280,6 +324,12 @@ class SerenadeService:
     def record_bad_request(self) -> None:
         self._requests.increment(status="bad_request")
 
+    def record_connections(self, open_now: int, accepted: bool = False) -> None:
+        """A connection was accepted or closed; ``open_now`` are left."""
+        if accepted:
+            self._connections.increment()
+        self._open_connections.set(float(open_now))
+
     def render_metrics(self) -> str:
         """Sync guardrail counters from the cluster, then render."""
         info = self.cluster.resilience_info()
@@ -356,50 +406,109 @@ class SerenadeService:
         }
 
 
+_POST_ROUTES = {
+    "/v1/recommend": "recommend",
+    "/v1/recommend_batch": "recommend_batch",
+}
+
+
 class _Handler(BaseHTTPRequestHandler):
-    """Routes HTTP calls to the :class:`SerenadeService` on the server."""
+    """Serves one connection: routes its HTTP calls, one after the other,
+    to the :class:`SerenadeService` on the server."""
 
     server_version = "Serenade/1.0"
+    protocol_version = "HTTP/1.1"
+    timeout = SOCKET_TIMEOUT_S
+    disable_nagle_algorithm = True
+    # Buffered, flushed by the stdlib once per request: a /v1/recommend
+    # answer at count=100 (about 5 KB) still leaves in a single write.
+    wbufsize = 16 * 1024
+
+    server: "_Server"
 
     @property
     def service(self) -> SerenadeService:
-        return self.server.service  # type: ignore[attr-defined]
+        return self.server.service
 
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         pass  # keep test output quiet; metrics carry the signal
 
-    def _send_json(self, status: int, body: dict) -> None:
-        encoded = json.dumps(body).encode("utf-8")
+    def _send(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str = "application/json",
+        retry_after: str | None = None,
+        close: bool = False,
+    ) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(encoded)))
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        if retry_after is not None:
+            self.send_header("Retry-After", retry_after)
+        if close or self.server.draining:
+            self.send_header("Connection", "close")  # also ends the keep-alive loop
         self.end_headers()
-        self.wfile.write(encoded)
+        self.wfile.write(body)
+
+    def _send_json(self, status: int, body: dict, **options: Any) -> None:
+        self._send(status, json.dumps(body).encode("utf-8"), **options)
+
+    def _read_body(self) -> bytes | None:
+        """The request body, or ``None`` once the request has been refused.
+
+        A refusal leaves the body on the socket, so it closes the
+        connection: the unread bytes must not become the next request.
+        """
+        header = (self.headers.get("Content-Length") or "").strip()
+        if not header:  # includes Transfer-Encoding: chunked
+            self._refuse(411, "Content-Length is required")
+            return None
+        if not (header.isascii() and header.isdigit()):
+            self._refuse(400, "Content-Length must be a non-negative integer")
+            return None
+        # int() refuses digit strings past 4 300 characters; eighteen
+        # digits already exceed any cap.
+        length = int(header) if len(header) <= 18 else MAX_BODY_BYTES + 1
+        if length > MAX_BODY_BYTES:
+            self._refuse(413, f"body exceeds {MAX_BODY_BYTES} bytes")
+            return None
+        body = self.rfile.read(length)
+        if len(body) < length:
+            self._refuse(400, "body is shorter than Content-Length")
+            return None
+        return body
+
+    def _refuse(self, status: int, message: str) -> None:
+        self.service.record_bad_request()
+        self._send_json(status, {"error": message}, close=True)
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib API)
+        # A GET has no use for a body here, so one is never read.
+        unread = (
+            self.headers.get("Content-Length", "0").strip() != "0"
+            or "Transfer-Encoding" in self.headers
+        )
         if self.path == "/healthz":
-            self._send_json(200, self.service.health())
+            self._send_json(200, self.service.health(), close=unread)
         elif self.path == "/metrics":
-            text = self.service.render_metrics().encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; version=0.0.4")
-            self.send_header("Content-Length", str(len(text)))
-            self.end_headers()
-            self.wfile.write(text)
+            self._send(
+                200,
+                self.service.render_metrics().encode("utf-8"),
+                content_type="text/plain; version=0.0.4",
+                close=unread,
+            )
         else:
-            self._send_json(404, {"error": f"no route {self.path}"})
+            self._send_json(404, {"error": f"no route {self.path}"}, close=unread)
 
     def do_POST(self) -> None:  # noqa: N802 (stdlib API)
-        routes = {
-            "/v1/recommend": self.service.recommend,
-            "/v1/recommend_batch": self.service.recommend_batch,
-        }
-        route = routes.get(self.path)
+        raw = self._read_body()
+        if raw is None:
+            return
+        route = _POST_ROUTES.get(self.path)
         if route is None:
             self._send_json(404, {"error": f"no route {self.path}"})
             return
-        length = int(self.headers.get("Content-Length", "0"))
-        raw = self.rfile.read(length) if length else b""
         try:
             payload = json.loads(raw.decode("utf-8")) if raw else {}
         except (json.JSONDecodeError, UnicodeDecodeError):
@@ -407,26 +516,28 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(400, {"error": "body is not valid JSON"})
             return
         try:
-            self._send_json(200, route(payload))
+            # Looked up per call: a tracer may rebind the service's methods.
+            self._send_json(200, getattr(self.service, route)(payload))
         except BadRequest as error:
             self.service.record_bad_request()
             self._send_json(400, {"error": str(error)})
         except Overloaded as error:
-            self.send_response(429)
-            body = json.dumps(
-                {"error": "overloaded", "retry_after_ms": error.retry_after_ms}
-            ).encode("utf-8")
-            self.send_header("Content-Type", "application/json")
-            self.send_header(
-                "Retry-After", str(max(1, round(error.retry_after_ms / 1000)))
+            self._send_json(
+                429,
+                {"error": "overloaded", "retry_after_ms": error.retry_after_ms},
+                retry_after=str(max(1, round(error.retry_after_ms / 1000))),
             )
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+
+
+def _shutdown_socket(connection: socket.socket, how: int) -> None:
+    try:
+        connection.shutdown(how)
+    except OSError:
+        pass  # its handler closed it first
 
 
 class _Server(ThreadingHTTPServer):
-    """Threaded server with a deep accept backlog.
+    """One daemon thread per open connection, at most ``MAX_CONNECTIONS``.
 
     The stdlib default ``request_queue_size`` of 5 drops connections under
     the bursty frontend traffic this service exists to absorb.
@@ -435,9 +546,69 @@ class _Server(ThreadingHTTPServer):
     request_queue_size = 128
     daemon_threads = True
 
+    def __init__(self, address: tuple[str, int], service: SerenadeService) -> None:
+        super().__init__(address, _Handler)
+        self.service = service
+        #: set by :meth:`drain`: every response now closes its connection.
+        self.draining = False
+        self._open: set[socket.socket] = set()
+        self._changed = threading.Condition()
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        """Runs on the accept thread: admit the connection or, at the
+        bound, close it unanswered."""
+        with self._changed:
+            admitted = len(self._open) < MAX_CONNECTIONS
+            if admitted:
+                self._open.add(request)
+                self.service.record_connections(len(self._open), accepted=True)
+        if not admitted:
+            self.shutdown_request(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:  # no thread could be started
+            self._forget(request)
+            raise
+
+    def process_request_thread(self, request: Any, client_address: Any) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._forget(request)
+
+    def _forget(self, request: socket.socket) -> None:
+        with self._changed:
+            self._open.discard(request)
+            self.service.record_connections(len(self._open))
+            self._changed.notify_all()
+
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        if isinstance(sys.exc_info()[1], OSError):
+            return  # the client went away mid-exchange; not a server fault
+        super().handle_error(request, client_address)
+
+    def drain(self, timeout: float) -> None:
+        """Stop accepting, let requests in flight finish, close the rest.
+
+        Shutting down the read side wakes a handler that is waiting for
+        the next request on an idle connection (it reads end-of-file and
+        returns). A handler in the middle of a request has read it
+        already, and still writes its answer.
+        """
+        self.draining = True
+        self.shutdown()
+        self.server_close()
+        with self._changed:
+            for connection in self._open:
+                _shutdown_socket(connection, socket.SHUT_RD)
+            self._changed.wait_for(lambda: not self._open, timeout)
+            for connection in self._open:
+                _shutdown_socket(connection, socket.SHUT_RDWR)
+
 
 class SerenadeHTTPServer:
-    """A threaded HTTP server wrapping a serving cluster.
+    """A keep-alive HTTP server wrapping a serving cluster.
 
     Usage::
 
@@ -455,8 +626,7 @@ class SerenadeHTTPServer:
         perf_clock: Clock | None = None,
     ) -> None:
         self.service = SerenadeService(cluster, perf_clock=perf_clock)
-        self._httpd = _Server((host, port), _Handler)
-        self._httpd.service = self.service  # type: ignore[attr-defined]
+        self._httpd = _Server((host, port), self.service)
         self._thread: threading.Thread | None = None
 
     @property
@@ -473,11 +643,12 @@ class SerenadeHTTPServer:
         return self
 
     def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        """Stop accepting, drain, then release the cluster's pools."""
+        self._httpd.drain(DRAIN_TIMEOUT_S)
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
+        self.service.cluster.close()
 
     def __enter__(self) -> "SerenadeHTTPServer":
         return self.start()

@@ -9,20 +9,30 @@ to degrade instead of failing:
 * :class:`Deadline` budgets (re-exported from :mod:`repro.core.deadline`)
   bound every stage on a monotonic clock;
 * a :class:`FallbackChain` tries progressively cheaper models —
-  VMIS-kNN → popularity → a static ranked list — and each stage runs under
-  the request's *remaining* budget via a worker pool, so a 200 ms stall in
-  the primary burns at most the budget, never the request;
-* a per-stage :class:`CircuitBreaker` (closed → open → half-open) stops a
-  sick model from consuming budget at all once its failure rate crosses a
-  threshold, probing it again after a cool-down;
+  VMIS-kNN → popularity → a static ranked list — on the request thread,
+  starting a stage only while budget beyond the reserve remains and
+  checking the budget again when the stage returns: a stage that overran
+  has its answer discarded and counts as a timeout. A stall is therefore
+  *detected*, not interrupted — the stalled request itself overruns;
+* a per-stage :class:`CircuitBreaker` (closed → open → half-open) is what
+  protects the requests *after* a stall: once a model's failure rate
+  (errors and overruns) crosses a threshold it is skipped without
+  spending any budget, and probed again after a cool-down;
 * an :class:`AdmissionController` bounds the number of requests inside the
   cluster and sheds **oldest-first** when saturated — the queued request
   that has waited longest has the least chance of meeting its SLA, so it
   is the one turned into a fast 429 (:class:`Overloaded`).
 
 The terminal stage of every chain is assumed to be O(µs) (a precomputed
-static list) and is executed directly, outside the pool, so even a fully
-exhausted budget produces *some* answer — degraded, never over-deadline.
+static list), so even a fully exhausted budget produces *some* answer.
+
+Why no worker pool: the primary is an in-process, CPU-bound scorer with
+bounded work (at most ``m`` sessions per posting list, ``k`` neighbours);
+it cannot block on I/O, and the paper's pods likewise score on the request
+worker. A pool bought mid-call abandonment of a stall that this scorer
+cannot produce, at the price of a thread hop (a future submit and a
+wake-up, 6–8 % of a request) on every healthy call. DESIGN.md ("The
+front door and the guardrail stage") records the trade.
 """
 
 from __future__ import annotations
@@ -31,8 +41,6 @@ import enum
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -67,16 +75,6 @@ class ResiliencePolicy:
     breaker_probe_seconds: float = 5.0
     #: admission-control capacity: requests inside the cluster at once.
     queue_capacity: int = 256
-    #: worker threads per pod that execute deadline-bounded stage calls.
-    stage_workers: int = 8
-    #: run stages synchronously on the caller thread instead of the worker
-    #: pool. A stage that stalls then *burns* budget rather than being
-    #: abandoned at its timeout — only safe with recommenders that cannot
-    #: block on real time, which is exactly the deterministic-simulation
-    #: configuration (:mod:`repro.testing.simulation`): stages "stall" by
-    #: advancing a virtual clock, and the chain observes the burned budget
-    #: after the call returns.
-    inline_stages: bool = False
 
     def budget(self, clock: Clock = time.monotonic) -> Deadline:
         return Deadline(self.budget_ms / 1000.0, clock=clock)
@@ -318,11 +316,12 @@ class ResilienceCounters:
 class FallbackChain:
     """Ordered degradation: try each stage under the remaining budget.
 
-    Stages run on a worker pool so the caller can abandon a stalled call
-    at its timeout (the worker thread finishes in the background and its
-    result is discarded — Python cannot preempt it, but the *request*
-    never waits past the budget). The terminal stage runs inline and must
-    be effectively free; it is the floor that makes the chain total.
+    Every stage runs on the calling (request) thread. A stage starts only
+    while budget beyond the reserve remains, and the budget is checked
+    again when it returns: an answer that arrived past the reserve is
+    discarded, counted as a timeout and fed to the stage's breaker as a
+    failure. The terminal stage must be effectively free; it is the floor
+    that makes the chain total.
     """
 
     def __init__(
@@ -330,9 +329,7 @@ class FallbackChain:
         stages: Sequence[FallbackStage],
         terminal: SessionRecommender,
         reserve_seconds: float = 0.008,
-        stage_workers: int = 8,
         clock: Clock = time.monotonic,
-        inline_stages: bool = False,
     ) -> None:
         if not stages:
             raise ValueError("a fallback chain needs at least one stage")
@@ -341,19 +338,6 @@ class FallbackChain:
         self.terminal_name = getattr(terminal, "name", "static-rules")
         self.reserve_seconds = reserve_seconds
         self._clock = clock
-        self.inline_stages = inline_stages
-        self._stage_workers = stage_workers
-        # Lazily built: an inline chain (deterministic simulation) never
-        # spins up threads at all.
-        self._pool: ThreadPoolExecutor | None = None
-
-    def _get_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._stage_workers,
-                thread_name_prefix="repro-resilience",
-            )
-        return self._pool
 
     @classmethod
     def from_index(
@@ -385,9 +369,7 @@ class FallbackChain:
             ],
             terminal=terminal,
             reserve_seconds=policy.fallback_reserve_ms / 1000.0,
-            stage_workers=policy.stage_workers,
             clock=clock,
-            inline_stages=policy.inline_stages,
         )
 
     def run(
@@ -411,48 +393,20 @@ class FallbackChain:
                 deadline_exceeded = True
                 break
             stage.calls += 1
-            if self.inline_stages:
-                # Synchronous execution: the stage cannot be abandoned
-                # mid-call, so a timeout is detected *after* the call — the
-                # stage "took too long" iff it burned the budget down past
-                # the reserve, the same condition the pooled path enforces
-                # with ``future.result(timeout=remaining - reserve)``.
-                try:
-                    result = stage.recommender.recommend(items, how_many)
-                except Exception:
-                    stage.failures += 1
-                    errors += 1
-                    stage.breaker.record_failure()
-                    continue
-                if deadline.remaining() < self.reserve_seconds:
-                    stage.timeouts += 1
-                    stage.breaker.record_failure()
-                    deadline_exceeded = True
-                    continue
-                stage.successes += 1
-                stage.breaker.record_success()
-                return StageOutcome(
-                    items=result,
-                    stage=stage.name,
-                    degraded=position > 0,
-                    deadline_exceeded=deadline_exceeded,
-                    errors=errors,
-                )
-            future = self._get_pool().submit(
-                stage.recommender.recommend, items, how_many
-            )
             try:
-                result = future.result(timeout=budget)
-            except FutureTimeout:
-                future.cancel()
-                stage.timeouts += 1
-                stage.breaker.record_failure()
-                deadline_exceeded = True
-                continue
+                result = stage.recommender.recommend(items, how_many)
             except Exception:
                 stage.failures += 1
                 errors += 1
                 stage.breaker.record_failure()
+                continue
+            # The stage cannot be abandoned mid-call, so an overrun is
+            # detected after it: the stage took too long iff it burned the
+            # budget down past the reserve.
+            if deadline.remaining() < self.reserve_seconds:
+                stage.timeouts += 1
+                stage.breaker.record_failure()
+                deadline_exceeded = True
                 continue
             stage.successes += 1
             stage.breaker.record_success()
@@ -463,7 +417,7 @@ class FallbackChain:
                 deadline_exceeded=deadline_exceeded,
                 errors=errors,
             )
-        # Terminal: inline, effectively free, always answers.
+        # Terminal: effectively free, always answers.
         try:
             result = self.terminal.recommend(items, how_many=how_many)
         except Exception:
@@ -481,10 +435,12 @@ class FallbackChain:
         return {stage.name: stage.breaker.state for stage in self.stages}
 
     def close(self) -> None:
-        # wait=False: abandoned stage calls may still be sleeping; the
-        # request path must never block on them, and neither should close.
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
+        """Close the stage recommenders that own resources (a primary's
+        result cache must not outlive the index it was computed from)."""
+        for stage in self.stages:
+            close = getattr(stage.recommender, "close", None)
+            if callable(close):
+                close()
 
 
 @guarded_by("_lock", "counters")

@@ -11,6 +11,7 @@ variant's view of the session, apply business rules, return 21 items.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -27,6 +28,7 @@ SleepFn = Callable[[float], None]
 
 FRONTEND_SLOT_SIZE = 21  # items required by the product-detail-page UI
 OVERFETCH_FACTOR = 2  # fetch extra so business rules can drop some
+SERVICE_TIME_WINDOW = 10_000  # service times a pod keeps for percentiles
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,11 @@ class ServerStats:
     busy_seconds: float = 0.0
     store_seconds: float = 0.0
     predict_seconds: float = 0.0
-    service_times: list[float] = field(default_factory=list)
+    #: the most recent service times only: a window, so that a pod that
+    #: runs for weeks holds as much as one that runs for a minute.
+    service_times: deque[float] = field(
+        default_factory=lambda: deque(maxlen=SERVICE_TIME_WINDOW)
+    )
 
 
 class RecommendationServer:

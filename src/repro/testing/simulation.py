@@ -7,9 +7,9 @@ machines of the serving stack and the :class:`~repro.testing.clock.VirtualClock`
   as *both* its session-TTL clock and its ``perf_clock``, so deadlines,
   circuit breakers, admission control and service-time measurement all
   read virtual time;
-* the resilience policy is forced to ``inline_stages=True`` — stages run
-  synchronously on the driving thread, and a "slow" recommender models
-  its stall by advancing the clock, which the deadline then observes;
+* fallback stages run on the calling thread (the chain has no other
+  mode), so a "slow" recommender models its stall by advancing the
+  clock, which the deadline then observes;
 * :meth:`run` replays a :class:`~repro.cluster.loadgen.TimedRequest`
   stream through the :class:`~repro.cluster.chaos.ChaosInjector`,
   advancing the clock to each arrival instant first, so TTL expiry,
@@ -27,7 +27,6 @@ Same seed, same schedule → byte-identical
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.cluster.chaos import ChaosInjector, ChaosReport, ChaosSchedule, PodKill
@@ -63,13 +62,9 @@ class SimulatedCluster:
         """Build a fully virtualised cluster around a prebuilt index.
 
         Accepts the same keyword arguments as
-        :meth:`ServingCluster.with_index`; any resilience policy is
-        switched to inline stage execution (worker-pool timeouts block
-        on real time, which a simulation must never do).
+        :meth:`ServingCluster.with_index`.
         """
         clock = clock or VirtualClock()
-        if resilience is not None and not resilience.inline_stages:
-            resilience = replace(resilience, inline_stages=True)
         cluster = ServingCluster.with_index(
             index,
             clock=clock,

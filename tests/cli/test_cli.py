@@ -3,7 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -500,6 +506,35 @@ class TestServeCommand:
         assert probe_result["health"]["status"] == "ok"
         assert "serving" in capsys.readouterr().out
         del original
+
+    def test_sigterm_drains_and_exits_cleanly(self, index_artifact):
+        """What an orchestrator (and the serve benchmark's child runner)
+        sends is SIGTERM, not Ctrl-C: it must take the graceful path."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src), *filter(None, [env.get("PYTHONPATH")])]
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", "serve", str(index_artifact),
+             "--port", "0", "--pods", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+        )
+        try:
+            banner = child.stdout.readline()
+            port = int(re.search(r"http://127\.0\.0\.1:(\d+)", banner).group(1))
+            with urllib.request.urlopen(
+                f"http://127.0.0.1:{port}/healthz", timeout=5
+            ) as response:
+                assert json.load(response)["status"] == "ok"
+            child.send_signal(signal.SIGTERM)
+            assert child.wait(timeout=5) == 0
+            assert "shutting down" in child.stdout.read()
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+            child.stdout.close()
 
 
 class TestSessionizeCommand:

@@ -1,12 +1,15 @@
 """Tests for the SLA guardrail layer: deadlines, breakers, fallbacks, shedding.
 
-Every time-dependent scenario runs on a :class:`VirtualClock` — a stage
-"stalls" by advancing virtual time, a breaker cool-down elapses with one
-``advance`` call, and all assertions are exact. No real sleeps, no
-wall-clock reads, no timing flake.
+Every time-dependent scenario but one runs on a :class:`VirtualClock` — a
+stage "stalls" by advancing virtual time, a breaker cool-down elapses with
+one ``advance`` call, and all assertions are exact. The exception is
+:class:`TestRealClock`, which really sleeps: what production runs is the
+monotonic clock, and the chain has a single execution path to check on it.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -76,9 +79,7 @@ def make_chain(primary, clock=None, reserve_ms=8.0, policy=None):
         ],
         terminal=terminal,
         reserve_seconds=policy.fallback_reserve_ms / 1000.0,
-        stage_workers=policy.stage_workers,
         clock=clock,
-        inline_stages=True,
     )
 
 
@@ -361,6 +362,64 @@ class TestDeadlineEnforcement:
         second_trace, second_info = run_once()
         assert first_trace == second_trace
         assert first_info == second_info
+
+
+class SleepyPrimary:
+    """A primary that really sleeps ``stall_seconds`` on every call."""
+
+    def __init__(self, stall_seconds: float) -> None:
+        self.stall_seconds = stall_seconds
+        self.calls = 0
+
+    def recommend(self, session_items, how_many=21):
+        self.calls += 1
+        time.sleep(self.stall_seconds)
+        return [ScoredItem(1000 + i, 1.0 / (i + 1)) for i in range(how_many)]
+
+
+@pytest.mark.chaos
+class TestRealClock:
+    """The guardrail on ``time.monotonic``: a stalled primary overruns
+    its own requests, and the breaker protects the ones after them."""
+
+    def test_stalled_primary_opens_the_breaker_then_heals(self, toy_index):
+        # Defaults (50 ms budget, 8 ms reserve, breaker after 5 calls)
+        # but for the probe interval, 5 s by default.
+        policy = ResiliencePolicy(breaker_probe_seconds=0.3)
+        primary = SleepyPrimary(stall_seconds=policy.budget_ms / 1000.0 + 0.010)
+        chain = FallbackChain.from_index(primary, toy_index, policy)
+        recommender = ResilientRecommender(chain, policy)
+
+        # The stalled calls cannot be abandoned: each overruns, is counted
+        # as a deadline timeout, and gets the terminal's answer.
+        for _ in range(policy.breaker_min_calls):
+            assert recommender.recommend([1, 2], how_many=5)
+            outcome = recommender.last_outcome()
+            assert outcome.deadline_exceeded and outcome.degraded
+            assert outcome.stage == "static-rules"
+        assert recommender.info()["deadline_timeouts"] == policy.breaker_min_calls
+        assert chain.stages[0].timeouts == policy.breaker_min_calls
+        assert chain.breaker_states()["primary"] is BreakerState.OPEN
+
+        # Every later request skips the primary and is inside the budget.
+        for _ in range(20):
+            started = time.monotonic()
+            assert recommender.recommend([1, 2], how_many=5)
+            assert time.monotonic() - started < policy.budget_ms / 1000.0
+            outcome = recommender.last_outcome()
+            assert outcome.degraded and not outcome.deadline_exceeded
+            assert outcome.stage == "popularity"
+        assert primary.calls == policy.breaker_min_calls
+        assert recommender.info()["breaker_short_circuits"] == 20
+
+        # A healthy primary closes the breaker again at the next probe.
+        primary.stall_seconds = 0.0
+        time.sleep(policy.breaker_probe_seconds)
+        assert recommender.recommend([1, 2], how_many=5)
+        outcome = recommender.last_outcome()
+        assert outcome.stage == "primary" and not outcome.degraded
+        assert chain.breaker_states()["primary"] is BreakerState.CLOSED
+        recommender.close()
 
 
 class TestResilientRecommender:

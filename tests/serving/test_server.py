@@ -53,6 +53,18 @@ class TestRequestHandling:
         assert len(server.stats.service_times) == 3
         assert server.stats.busy_seconds > 0
 
+    def test_service_times_are_a_window_not_a_log(self, toy_index, monkeypatch):
+        from repro.serving.app import ServingCluster
+
+        monkeypatch.setattr("repro.serving.server.SERVICE_TIME_WINDOW", 5)
+        cluster = ServingCluster.with_index(toy_index, num_pods=1, m=10, k=10)
+        for n in range(12):
+            cluster.handle(RecommendationRequest(f"u{n}", 1 + n % 4))
+        [pod] = cluster.pods.values()
+        assert pod.stats.requests == 12  # counters still see every request
+        assert len(cluster.all_service_times()) == 5
+        assert cluster.all_service_times() == list(pod.stats.service_times)
+
 
 class TestDepersonalisation:
     def test_no_consent_does_not_touch_state(self, server):

@@ -124,7 +124,6 @@ class TestVirtualStalls:
         primary = StallingRecommender(clock, stall_seconds=0.2)
         policy = ResiliencePolicy(
             budget_ms=50.0,
-            inline_stages=True,
             breaker_min_calls=10_000,  # keep the breaker out of the way
         )
         cluster = ServingCluster(
