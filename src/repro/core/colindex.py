@@ -12,12 +12,20 @@ heap-per-candidate loop with bulk array operations:
   (``run(i) = posting_sessions[offsets[i]:offsets[i+1]]``), with a
   parallel float64 ``posting_timestamps`` array; session metadata
   (timestamps, per-session item lists) uses the same offset-table shape.
-* **scoring** — the query gathers the posting runs of its distinct items
-  (newest first), prunes each run by binary search against the best
-  run's m-th largest id (the vectorized analogue of early stopping),
-  selects the retained sample with one sort + dedup over the pruned
-  candidate window, accumulates similarities with one ``np.bincount``,
-  and takes the top-k via ``np.partition`` + lexsort.
+* **neighbour search** — the query gathers the posting runs of its
+  distinct items (newest first), prunes each run by binary search
+  against the best run's m-th largest id (the vectorized analogue of
+  early stopping), selects the retained sample with one sort + dedup
+  over the pruned candidate window, accumulates similarities with one
+  ``np.bincount``, and takes the top-k via ``np.partition`` + lexsort.
+* **item scoring** — one offset-table gather pulls the item rows of all
+  k neighbours, in neighbour order, into a single array; ``np.unique``
+  maps them onto a local row window; the query's insertion orders are
+  scattered onto that window and a segmented max yields each
+  neighbour's most recent shared position; the match weight is read
+  from a table filled once per distinct position; and one ordered
+  ``np.bincount`` accumulates ``(λ · sim) · idf`` per item. No Python
+  loop runs over neighbours.
 
 **Equality contract.** The scorer is *bit-identical* to the heap path —
 same floats, same order, not merely the same ranking. Two build-time
@@ -43,6 +51,17 @@ Only the first ``m`` entries of each run can matter: runs hold strictly
 descending distinct ids, so any entry past position ``m`` is dominated by
 ``m`` larger ids in its own run. That bounds the candidate window to
 ``|distinct query items| * m`` regardless of posting-list length.
+
+Item scoring keeps the same discipline. ``score_items`` walks the
+neighbours in ranked order and adds ``base * idf`` to each of their
+items, where ``base = match * similarity * length_factor`` evaluated
+left to right. Here every per-neighbour quantity is an elementwise array
+expression of the same IEEE operations in the same association —
+``(match * sims) * length_factor``, then ``base * idf`` — and the
+gathered rows keep neighbour order, so the one ``np.bincount`` applies
+each item's additions in exactly the order the dict accumulator sees
+them. Integer steps (gather, window mapping, segmented max, table
+lookup) carry no rounding at all.
 
 The d-ary heap path stays as the differential oracle; see
 ``tests/testing/test_columnar_properties.py`` and the corpus sweep in
@@ -349,7 +368,7 @@ class ColumnarSessionIndex:
         if row is None:
             return []
         start, end = self.posting_offsets[row], self.posting_offsets[row + 1]
-        return [int(s) for s in self.posting_sessions[start:end]]
+        return self.posting_sessions[start:end].tolist()
 
     def timestamp_of(self, session_id: SessionId) -> float:
         """Timestamp lookup in the ``t`` array (stored as float64)."""
@@ -359,9 +378,7 @@ class ColumnarSessionIndex:
         """Distinct items of a historical session, in click order."""
         start = self.session_item_offsets[session_id]
         end = self.session_item_offsets[session_id + 1]
-        return tuple(
-            int(i) for i in self.session_item_values[start:end]
-        )
+        return tuple(self.session_item_values[start:end].tolist())
 
     def idf(self, item_id: ItemId) -> float:
         """``log(|H| / h_i)``; 0.0 for unseen items."""
@@ -590,81 +607,88 @@ class VMISKNNColumnar(BatchMixin):
             1.0 / len(session_items) if self.scoring_style == "vsknn" else 1.0
         )
 
-        # Concatenate the neighbours' item rows in neighbour order; every
-        # per-element operation below inherits that order, which is what
-        # keeps the float accumulation identical to score_items.
+        # Gather the neighbours' item rows in neighbour order with one
+        # offset-table gather; every per-element operation below inherits
+        # that order, which is what keeps the float accumulation
+        # identical to score_items.
         offsets = index.session_item_offsets
-        row_values = index.session_item_rows
-        segments = [
-            row_values[offsets[sid] : offsets[sid + 1]]
-            for sid in neighbor_ids.tolist()
-        ]
-        lengths = _as_int_array([seg.shape[0] for seg in segments])
-        concat = (
-            np.concatenate(segments) if len(segments) > 1 else segments[0]
-        )
-        if concat.shape[0] == 0:
+        src_starts = offsets[neighbor_ids]
+        lengths = offsets[neighbor_ids + 1] - src_starts
+        dst_ends = lengths.cumsum()
+        total = int(dst_ends[-1])
+        if total == 0:
             return []
-        local_rows = np.unique(concat)
-        local = np.searchsorted(local_rows, concat)
+        dst_starts = dst_ends - lengths
+        concat = index.session_item_rows[
+            np.arange(total) + np.repeat(src_starts - dst_starts, lengths)
+        ]
+        local_rows, local = np.unique(concat, return_inverse=True)
+        window = local_rows.shape[0]
+
+        # The query's distinct items as slots of the local row window
+        # (items without a posting row, or outside the window, drop out).
+        query_rows: list[int] = []
+        query_positions: list[int] = []
+        item_row = index._item_row
+        for item, position in orders.items():
+            row = item_row.get(item)
+            if row is not None:
+                query_rows.append(row)
+                query_positions.append(position)
+        rows = _as_int_array(query_rows)
+        slots = np.minimum(local_rows.searchsorted(rows), window - 1)
+        present = local_rows[slots] == rows
+        query_slots = slots[present]
 
         # Most recent shared item per neighbour: scatter the query's
-        # insertion orders onto the local row window, then segmented max.
-        query_order = np.zeros(local_rows.shape[0], dtype=_INT)
-        for item, position in orders.items():
-            row = index._item_row.get(item)
-            if row is None:
-                continue
-            slot = np.searchsorted(local_rows, row)
-            if slot < local_rows.shape[0] and local_rows[slot] == row:
-                query_order[slot] = position
-        starts = np.zeros(lengths.shape[0], dtype=_INT)
-        np.cumsum(lengths[:-1], out=starts[1:])
-        reduce_starts = np.minimum(starts, concat.shape[0] - 1)
+        # insertion orders onto the window, then segmented max.
+        query_order = np.zeros(window, dtype=_INT)
+        query_order[query_slots] = _as_int_array(query_positions)[present]
         last_shared = np.where(
             lengths > 0,
-            np.maximum.reduceat(query_order[local], reduce_starts),
+            np.maximum.reduceat(
+                query_order[local], np.minimum(dst_starts, total - 1)
+            ),
             0,
         )
 
-        # Per-neighbour base weights; neighbours with no shared item or a
+        # Match weights by table: weight_fn runs once per distinct
+        # last_shared value that occurs, with the python int the heap
+        # path passes it. Neighbours with no shared item or a
         # structurally zero match weight contribute nothing (base 0.0
         # additions leave every accumulator bit-untouched) and must not
         # mark their items as scored.
-        bases = np.zeros(neighbor_ids.shape[0], dtype=_FLOAT)
-        contributes = np.zeros(neighbor_ids.shape[0], dtype=bool)
-        sims = neighbor_sims.tolist()
-        for position, shared in enumerate(last_shared.tolist()):
+        match_table = np.zeros(len(session_items) + 1, dtype=_FLOAT)
+        contributes_table = np.zeros(len(session_items) + 1, dtype=bool)
+        for shared in sorted(set(last_shared.tolist())):
             if shared == 0:
                 continue
             match = weight_fn(shared)
-            if is_zero_score(match):
-                continue
-            bases[position] = match * sims[position] * length_factor
-            contributes[position] = True
+            match_table[shared] = match
+            contributes_table[shared] = not is_zero_score(match)
+        contributes = contributes_table[last_shared]
+        bases = np.where(
+            contributes,
+            (match_table[last_shared] * neighbor_sims) * length_factor,
+            0.0,
+        )
 
         idf = index.idf_values[local_rows]
         if self.scoring_style == "vsknn":
             idf = idf + 1.0
         values = np.repeat(bases, lengths) * idf[local]
-        accumulated = np.bincount(
-            local, weights=values, minlength=local_rows.shape[0]
-        )
-        scored = np.zeros(local_rows.shape[0], dtype=bool)
+        accumulated = np.bincount(local, weights=values, minlength=window)
+        scored = np.zeros(window, dtype=bool)
         scored[local[np.repeat(contributes, lengths)]] = True
         if self.exclude_current_items:
-            for item in set(session_items):
-                row = index._item_row.get(item)
-                if row is None:
-                    continue
-                slot = np.searchsorted(local_rows, row)
-                if slot < local_rows.shape[0] and local_rows[slot] == row:
-                    scored[slot] = False
+            scored[query_slots] = False
 
         out_items = index.item_ids[local_rows[scored]]
         out_scores = accumulated[scored]
         ranked = np.lexsort((out_items, -out_scores))[:how_many]
         return [
-            ScoredItem(int(item), float(score))
-            for item, score in zip(out_items[ranked], out_scores[ranked])
+            ScoredItem(item, score)
+            for item, score in zip(
+                out_items[ranked].tolist(), out_scores[ranked].tolist()
+            )
         ]

@@ -80,7 +80,6 @@ class ServingCluster:
         clock: Clock | None = None,
         record_service_times: bool = True,
         cache_size: int = 0,
-        batch_workers: int = 4,
         resilience: ResiliencePolicy | None = None,
         fallback_factory: RecommenderFactory | None = None,
         static_items: Sequence[ScoredItem] = (),
@@ -99,7 +98,6 @@ class ServingCluster:
             clock: injectable time source for the session TTLs.
             cache_size: per-pod LRU result cache capacity on the
                 single-query path; 0 disables caching (seed behaviour).
-            batch_workers: thread-pool size of the ``handle_batch`` engine.
             resilience: enable the SLA guardrail layer with this policy;
                 ``None`` keeps the raw path (seed behaviour).
             fallback_factory: builds the mid-chain degraded-mode model per
@@ -136,7 +134,6 @@ class ServingCluster:
         )
         self.pods: dict[str, RecommendationServer] = {}
         self._cache_size = cache_size
-        self._batch_workers = batch_workers
         self._batch_engine: BatchPredictionEngine | None = None
         self.resilience = resilience
         self._fallback_factory = fallback_factory
@@ -348,16 +345,23 @@ class ServingCluster:
 
         Unlike :meth:`handle`, this does not touch per-user session state
         or business rules — it is the bulk prediction surface, returning
-        one ranked list per input session in order.
+        one ranked list per input session in order. The batch is scored
+        on the calling (request) thread.
         """
         return self.batch_engine().recommend_batch(sessions, how_many=how_many)
 
     def batch_engine(self) -> BatchPredictionEngine:
-        """The lazily built cluster-level batch engine."""
+        """The lazily built cluster-level batch engine.
+
+        It computes inline (no pool): the scorer holds the interpreter
+        lock, so a thread pool only adds hand-offs — neutral on one
+        core, 2x slower on two. The engine still buys the LRU cache and
+        intra-batch deduplication.
+        """
         if self._batch_engine is None:
             self._batch_engine = BatchPredictionEngine(
                 self._factory(),
-                num_workers=self._batch_workers,
+                num_workers=0,
                 cache_size=self._cache_size or 4096,
             )
         return self._batch_engine

@@ -85,6 +85,21 @@ class TestRunArms:
             assert 0.0 <= record.metric_value("sla_attainment") <= 1.0
             assert record.metric_value("peak_memory_bytes") > 0
 
+    def test_vectorized_arm_times_the_whole_scorer_too(self, smoke_records):
+        """fig3a_vec reports neighbour search (core metrics) and the full
+        recommend(prefix, 21); the second contains the first."""
+        _, published = smoke_records
+        record = next(r for r, _ in published if r.arm == "fig3a_vec")
+        assert record.metrics["recommend_p50_ms"].direction == "lower"
+        assert record.metrics["recommend_throughput_rps"].direction == "higher"
+        assert record.metric_value("recommend_p50_ms") > record.metric_value(
+            "latency_p50_ms"
+        )
+        assert 0 < record.metric_value(
+            "recommend_throughput_rps"
+        ) < record.metric_value("throughput_rps")
+        assert any("recommend" in note for note in record.notes)
+
     def test_self_comparison_passes_the_gate(self, smoke_records):
         out, _ = smoke_records
         report = compare_dirs(out, out)

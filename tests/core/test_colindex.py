@@ -4,7 +4,9 @@ The broad bit-equality sweeps live in
 ``tests/testing/test_columnar_properties.py``; this file pins the narrow
 edges by hand — empty posting runs, single-item sessions, ``m`` beyond
 the build-time cap, the early-stopping cutoff landing exactly on the
-heap-root timestamp, and the evolving-session length cap.
+heap-root timestamp, the evolving-session length cap, and the branches
+of the array-at-a-time item scoring (zero match weights, repeated and
+unknown query items, short result lists, callable match weights).
 """
 
 from __future__ import annotations
@@ -264,6 +266,114 @@ class TestSamplingEdges:
         assert bit_scores(columnar.recommend(long_query)) == bit_scores(
             heap.recommend(long_query)
         )
+
+
+class TestItemScoringArrays:
+    """The array item-scoring pipeline against the heap path, by bits."""
+
+    @pytest.fixture(scope="class")
+    def long_log(self):
+        """Sessions over 14 items where every long query still overlaps."""
+        clicks = []
+        for sid in range(40):
+            for offset in range(1 + sid % 5):
+                clicks.append(Click(sid, (sid * 3 + offset * 2) % 14, 1000 + sid))
+        return clicks
+
+    def assert_bit_equal(self, heap, columnar, query, how_many=21):
+        got = columnar.recommend(query, how_many=how_many)
+        assert bit_scores(got) == bit_scores(
+            heap.recommend(query, how_many=how_many)
+        )
+        return got
+
+    def test_paper_weight_zero_branch_past_nine_items(self, long_log):
+        """Neighbours whose most recent shared item sits at position >= 10
+        take the literal 0.0: no contribution, items not marked scored."""
+        heap, columnar = paired_models(long_log, m=30, k=30)
+        queries = [
+            list(range(12)),
+            list(range(13, -1, -1)),
+            [0, 2, 4, 6, 8, 10, 12, 1, 3, 5, 7],
+            [5] * 9 + [0, 1, 2, 3],
+        ]
+        for query in queries:
+            assert len(query) > 9
+            self.assert_bit_equal(heap, columnar, query)
+
+    def test_only_zero_weight_neighbours_scores_nothing(self):
+        """Every neighbour matches at position 10+: the heap path returns
+        an empty list, not items with an accumulated 0.0."""
+        clicks = [Click(0, 1, 10), Click(0, 2, 10), Click(1, 1, 20), Click(1, 3, 20)]
+        heap, columnar = paired_models(clicks, m=5, k=5)
+        query = [7] * 9 + [1]
+        assert heap.recommend(query) == []
+        assert columnar.recommend(query) == []
+        # One position earlier the same neighbours contribute again.
+        assert self.assert_bit_equal(heap, columnar, query[1:]) != []
+
+    def test_repeated_and_unknown_query_items(self, toy_clicks):
+        for exclude in (False, True):
+            heap, columnar = paired_models(
+                toy_clicks, m=5, k=5, exclude_current_items=exclude
+            )
+            for query in (
+                [2, 2, 2],
+                [1, 2, 1, 2, 1],
+                [4, 10**9, 2],
+                [10**9, 4, -7, 4],
+                [0, 6, 1],  # 0 and 6 sort around the window's rows
+                [99, 5],
+            ):
+                self.assert_bit_equal(heap, columnar, query)
+
+    def test_how_many_beyond_the_scored_items(self, toy_clicks):
+        heap, columnar = paired_models(
+            toy_clicks, m=5, k=5, exclude_current_items=True
+        )
+        got = self.assert_bit_equal(heap, columnar, [1, 2], how_many=1000)
+        assert 0 < len(got) < 1000
+        assert {scored.item_id for scored in got}.isdisjoint({1, 2})
+        assert self.assert_bit_equal(heap, columnar, [1, 2], how_many=0) == []
+
+    def test_vsknn_style_with_exclusion_and_cap(self, long_log):
+        heap, columnar = paired_models(
+            long_log,
+            m=30,
+            k=30,
+            scoring_style="vsknn",
+            exclude_current_items=True,
+            max_session_items=11,
+            match_weight="reciprocal",
+        )
+        for query in (list(range(14)), [3, 3, 9, 1], [13]):
+            self.assert_bit_equal(heap, columnar, query)
+
+    def test_callable_match_weight_runs_once_per_position(self, long_log):
+        """A callable lambda is evaluated per distinct most-recent-shared
+        position that occurs — never per neighbour."""
+        calls: list[int] = []
+
+        def counting_weight(position: int) -> float:
+            assert type(position) is int
+            calls.append(position)
+            return 0.0 if position % 4 == 0 else 1.0 / (1 + position)
+
+        heap, columnar = paired_models(
+            long_log, m=30, k=30, match_weight=counting_weight
+        )
+        for query in ([0, 3, 6], list(range(12)), [5, 5, 8, 5]):
+            calls.clear()
+            expected = heap.recommend(query)
+            heap_positions = set(calls)
+            assert len(calls) > len(query)  # the heap path: per neighbour
+
+            calls.clear()
+            got = columnar.recommend(query)
+            assert bit_scores(got) == bit_scores(expected)
+            assert len(calls) <= len(query)
+            assert len(calls) == len(set(calls))
+            assert set(calls) == heap_positions
 
 
 class TestScorerContract:

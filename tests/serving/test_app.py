@@ -235,6 +235,34 @@ class TestBatchServing:
                 (s.item_id, s.score) for s in expected
             ]
 
+    def test_handle_batch_runs_on_the_calling_thread(self, toy_index):
+        """No pool and no knob for one: the batch is scored inline."""
+        import inspect
+        import threading
+
+        knobs = list(inspect.signature(ServingCluster).parameters)
+        assert len(knobs) == 13
+        assert not [name for name in knobs if "workers" in name]
+        scoring_threads = []
+
+        class Recording(VMISKNN):
+            def recommend(self, session_items, how_many=21):
+                scoring_threads.append(threading.current_thread())
+                return super().recommend(session_items, how_many=how_many)
+
+        cluster = ServingCluster(
+            lambda: Recording(toy_index, m=10, k=10), num_pods=1
+        )
+        results = cluster.handle_batch([[1, 2], [2], [4, 5], [3]], how_many=5)
+        assert len(results) == 4
+        assert scoring_threads == [threading.current_thread()] * 4
+        assert cluster.batch_engine().num_workers == 0
+        assert not [
+            thread.name
+            for thread in threading.enumerate()
+            if thread.name.startswith("repro-batch")
+        ]
+
     def test_cache_size_wraps_pod_recommenders(self, toy_index):
         from repro.core.batch import BatchPredictionEngine
         from repro.core.colindex import VMISKNNColumnar

@@ -284,6 +284,32 @@ class TestServiceDirect:
             status="ok"
         ) == 1.0
 
+    def test_batch_counters_move_with_one_batch(self, toy_index):
+        service = SerenadeService(
+            ServingCluster.with_index(toy_index, num_pods=1, m=10, k=10)
+        )
+
+        def series(name):
+            samples = re.findall(
+                rf"^{name}(?:{{[^}}]*}})? (\S+)$",
+                service.render_metrics(),
+                flags=re.MULTILINE,
+            )
+            assert samples, f"{name} is not exported"
+            return sum(float(sample) for sample in samples)
+
+        assert series("serenade_batch_requests_total") == 0.0
+        assert series("serenade_batch_sessions_total") == 0.0
+        answer = service.recommend_batch(
+            {"sessions": [[1, 2], [2], [4, 5]], "count": 5}
+        )
+        assert len(answer["results"]) == 3
+        assert series("serenade_batch_requests_total") == 1.0
+        assert series("serenade_batch_sessions_total") == 3.0
+        assert 'serenade_batch_requests_total{status="ok"} 1' in (
+            service.render_metrics()
+        )
+
     def test_double_start_rejected(self, toy_index):
         cluster = ServingCluster.with_index(toy_index, num_pods=1, m=10, k=10)
         server = SerenadeHTTPServer(cluster, port=0)
