@@ -33,8 +33,13 @@ def main() -> None:
     event = report.events[0]
     print(
         f"\nkill at t={event.at_time:.0f}s: pod {event.pod_id} lost "
-        f"{event.sessions_lost} live sessions "
-        f"(restarted at t={event.restarted_at:.0f}s, empty)"
+        f"{event.sessions_lost} live sessions"
+    )
+    print(
+        f"restart at t={event.restarted_at:.0f}s: {event.sessions_recovered} "
+        "recovered from disk (no WAL, so none); the ring moved "
+        f"{report.ring['rebalanced_sessions']} sessions the survivors had "
+        "kept serving back onto the pod"
     )
     print(f"requests served:   {report.total_requests}")
     print(f"availability:      {report.availability:.4%} (routing failed over)")

@@ -448,8 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="R",
-        help="replicated shard ring with R copies per session "
-        "(1 leader + R-1 followers; 0 = single-copy sticky routing)",
+        help="copies of every session on the shard ring (1 leader + R-1 "
+        "followers); 0 and 1 both mean single-copy sticky routing",
     )
     serve.add_argument(
         "--vnodes",
@@ -997,23 +997,18 @@ def cmd_serve(args) -> int:
     from repro.serving.ring import ReplicationPolicy
 
     index = load_index(args.index)
+    replication = ReplicationPolicy(
+        replication_factor=max(args.replication, 1),
+        virtual_nodes=args.vnodes,
+        hedge_fraction=args.hedge_fraction,
+        budget_ms=args.sla_ms,
+    )
     resilience = (
         None
         if args.no_guardrails
         else ResiliencePolicy(
-            budget_ms=args.sla_ms, queue_capacity=args.max_inflight
+            budget_ms=replication.budget_ms, queue_capacity=args.max_inflight
         )
-    )
-    replication = (
-        ReplicationPolicy(
-            replication_factor=args.replication,
-            virtual_nodes=args.vnodes,
-            hedge_enabled=args.replication >= 2,
-            hedge_fraction=args.hedge_fraction,
-            budget_ms=args.sla_ms,
-        )
-        if args.replication >= 1
-        else None
     )
     cluster = ServingCluster.with_index(
         index,
@@ -1034,12 +1029,9 @@ def cmd_serve(args) -> int:
         else f"SLA {args.sla_ms:g} ms, max inflight {args.max_inflight}"
     )
     wal = f", WAL {args.wal_dir}" if args.wal_dir else ""
-    ring = (
-        f", ring R={args.replication} "
-        f"(vnodes {args.vnodes}, hedge {args.hedge_fraction:g})"
-        if replication is not None
-        else ""
-    )
+    copies = replication.replication_factor
+    hedge = f", hedge {args.hedge_fraction:g}" if copies > 1 else ""
+    ring = f", ring R={copies} (vnodes {args.vnodes}{hedge})"
     print(
         f"serving {index.num_items:,} items on "
         f"http://{args.host}:{server.port} "

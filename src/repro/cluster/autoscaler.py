@@ -17,13 +17,11 @@ explorable:
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.cluster.loadgen import TimedRequest
 from repro.cluster.metrics import LatencyRecorder
-from repro.core.deadline import Clock
 from repro.serving.app import ServingCluster
 
 
@@ -95,7 +93,6 @@ class AutoscalingSimulator:
         policy: AutoscalePolicy,
         cores_per_pod: int = 3,
         evaluation_interval: float = 10.0,
-        perf_clock: Clock = time.perf_counter,
     ) -> None:
         policy.validate()
         if cores_per_pod < 1:
@@ -106,7 +103,6 @@ class AutoscalingSimulator:
         self.policy = policy
         self.cores_per_pod = cores_per_pod
         self.evaluation_interval = evaluation_interval
-        self._perf = perf_clock
 
     def run(self, arrivals: Iterable[TimedRequest]) -> AutoscaleRunResult:
         result = AutoscaleRunResult(total_requests=0, latency=LatencyRecorder())
@@ -155,18 +151,12 @@ class AutoscalingSimulator:
                 window_busy = 0.0
                 window_start += self.evaluation_interval
 
-            if self.cluster.coordinator is not None:
-                # Ring mode: scaling flows through rebalance/decommission
-                # and the coordinator routes, replicates and hedges; its
-                # service time already resolves the hedge race.
-                response = self.cluster.handle(timed.request)
-                pod_id = response.served_by
-                service = response.service_seconds
-            else:
-                pod_id = self.cluster.router.route(timed.request.session_key)
-                started = self._perf()
-                self.cluster.pods[pod_id].handle(timed.request)
-                service = self._perf() - started
+            # Scaling flows through rebalance/decommission and the
+            # coordinator routes, replicates and hedges; its service
+            # time already resolves the hedge race.
+            response = self.cluster.handle(timed.request)
+            pod_id = response.served_by
+            service = response.service_seconds
             window_busy += service
 
             cores = free_at[pod_id]

@@ -69,7 +69,7 @@ class PodSlowdown:
 
 @dataclass(frozen=True)
 class NetworkPartition:
-    """Cut the replication link between two pods (requires a ring cluster).
+    """Cut the replication link between two pods.
 
     Both pods keep serving; only leader↔follower tail shipping across the
     pair stops. Keys appended during the partition make the follower's
@@ -166,7 +166,7 @@ class ChaosEventOutcome:
 
     @property
     def recovery_rate(self) -> float:
-        """Fraction of the killed pod's live sessions that came back."""
+        """Fraction of the killed pod's live sessions its WAL restored."""
         if self.sessions_lost == 0:
             return 1.0
         return self.sessions_recovered / self.sessions_lost
@@ -202,8 +202,8 @@ class ChaosReport:
     slowdowns_applied: int = 0
     partitions_applied: int = 0
     partitions_healed: int = 0
-    # Final replicated-ring snapshot (``{"enabled": False}`` without one):
-    # failover/hedge/fence counters for the chaos assertions.
+    # Final ring snapshot: failover/hedge/fence/rebalance counters for
+    # the chaos assertions.
     ring: dict = field(default_factory=dict)
     # (arrival time, streaming lag in events) sampled at every arrival
     # while a streaming pipeline is attached — the lag trajectory the
@@ -358,7 +358,7 @@ class ChaosInjector:
                 resets.sort(key=lambda entry: entry[0])
 
     def _apply_due_partitions(self, pending, heals, now, report) -> None:
-        """Cut/heal replication links per the schedule (ring clusters)."""
+        """Cut/heal replication links per the schedule."""
         while heals and heals[0][0] <= now:
             _, pod_a, pod_b = heals.pop(0)
             self.cluster.heal_partition(pod_a, pod_b)
@@ -414,8 +414,10 @@ class ChaosInjector:
     def _apply_due_restarts(self, restarts, now, report) -> None:
         while restarts and restarts[0][0] <= now:
             _, pod_id, outcome = restarts.pop(0)
-            # A restarted pod replays its WAL when the cluster has one;
-            # otherwise it comes back empty (state was machine-local).
-            server = self.cluster.restart_pod(pod_id)
-            outcome.sessions_recovered = len(server.sessions)
+            # Recovered means replayed from the pod's WAL. What the ring
+            # then moves back onto the pod from the survivors is
+            # ``ring["rebalanced_sessions"]``, a separate number.
+            before = self.cluster.recovered_sessions
+            self.cluster.restart_pod(pod_id)
+            outcome.sessions_recovered = self.cluster.recovered_sessions - before
             report.recovered_sessions += outcome.sessions_recovered

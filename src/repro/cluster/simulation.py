@@ -4,10 +4,10 @@ The paper's load test measures end-to-end response latency of two
 Kubernetes pods (three cores each) under replayed traffic. We reproduce it
 with a hybrid simulator:
 
-* **compute is real** — every simulated request executes the actual
-  serving code path (session update in the KV store, VMIS-kNN prediction,
-  business rules) and its measured wall-clock duration becomes the
-  service time;
+* **compute is real** — every simulated request is served by
+  :meth:`ServingCluster.handle` (admission, ring routing, session update
+  in the KV store, VMIS-kNN prediction, business rules) and the service
+  time the response reports becomes the station's service time;
 * **queueing is simulated** — each pod is a multi-core FCFS station; a
   request waits until one of its pod's cores is free, so response latency
   is queueing delay plus real service time, exactly the M/G/c behaviour a
@@ -20,9 +20,8 @@ utilisation for nominal loads far beyond what it could serve in real time.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.cluster.loadgen import TimedRequest
 from repro.cluster.metrics import BucketStats, LatencyRecorder, TimelineAggregator
@@ -55,23 +54,21 @@ class ClusterSimulator:
         cluster: ServingCluster,
         cores_per_pod: int = 3,
         sla_millis: float = 50.0,
-        perf_clock: Callable[[], float] | None = None,
     ) -> None:
         """Args:
-        cluster: the serving cluster under test (real code).
+        cluster: the serving cluster under test (real code). Service
+            time is measured on its ``perf_clock``: real compute by
+            default; deterministic tests build the cluster on a
+            :class:`~repro.testing.clock.VirtualClock` and model service
+            time by advancing it inside the recommender.
         cores_per_pod: cores provisioned per pod (the paper uses three).
         sla_millis: the business SLA — 50 ms at bol.com.
-        perf_clock: injectable service-time clock. ``None`` measures real
-            compute with ``time.perf_counter``; deterministic tests inject
-            a :class:`~repro.testing.clock.VirtualClock` and model service
-            time by advancing it inside the recommender.
         """
         if cores_per_pod < 1:
             raise ValueError("cores_per_pod must be >= 1")
         self.cluster = cluster
         self.cores_per_pod = cores_per_pod
         self.sla_millis = sla_millis
-        self._perf = perf_clock if perf_clock is not None else time.perf_counter
 
     def run(
         self,
@@ -93,13 +90,10 @@ class ClusterSimulator:
         violations = 0
         total = 0
 
-        perf = self._perf
         for timed in arrivals:
-            pod_id = self.cluster.router.route(timed.request.session_key)
-            started = perf()
-            response = self.cluster.pods[pod_id].handle(timed.request)
-            service = perf() - started
-            del response
+            response = self.cluster.handle(timed.request)
+            pod_id = response.served_by
+            service = response.service_seconds
 
             cores = free_at[pod_id]
             start_time = max(timed.arrival_time, cores[0])

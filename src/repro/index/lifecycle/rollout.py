@@ -23,7 +23,7 @@ production discipline:
    counts the rollback on the cluster (exported at ``/metrics``).
 
 Version skew mid-rollout is tolerated by construction: each pod serves
-its own replica, the sticky router keeps any one session on one pod, so
+its own replica, ring routing keeps any one session on one pod, so
 a session sees one version consistently; pods killed mid-rollout are
 skipped and converge to the committed version on restart.
 """

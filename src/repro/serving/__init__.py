@@ -1,4 +1,4 @@
-"""Online serving: stateful pods, sticky routing, rules, variants, guardrails."""
+"""Online serving: stateful pods on a shard ring, rules, variants, guardrails."""
 
 from repro.serving.app import ServingCluster
 from repro.serving.http import SerenadeHTTPServer, SerenadeService
@@ -23,7 +23,6 @@ from repro.serving.ring import (
     ReplicationPolicy,
     RingCoordinator,
 )
-from repro.serving.router import StickySessionRouter
 from repro.serving.rules import (
     BusinessRules,
     exclude_adult,
@@ -68,7 +67,6 @@ __all__ = [
     "SessionStore",
     "StageOutcome",
     "StaticRecommender",
-    "StickySessionRouter",
     "decode_items",
     "encode_items",
     "exclude_adult",

@@ -1,10 +1,12 @@
 """The Serenade application: a routed cluster of stateful pods (Figure 1).
 
-``ServingCluster`` wires the sticky-session router to a set of
+``ServingCluster`` wires a consistent-hash ring to a set of
 :class:`RecommendationServer` pods that each hold a replica of the session
 similarity index. It is the in-process equivalent of the Kubernetes
-deployment: the shop frontend calls :meth:`handle`, the router picks the
-pod owning the session, and the pod answers from machine-local state.
+deployment: the shop frontend calls :meth:`handle`, the ring names the
+pod leading the session, and the pod answers from machine-local state.
+There is one request path, :class:`~repro.serving.ring.RingCoordinator`;
+the paper's sticky routing is that path at replication factor 1.
 
 Two batch-engine integrations sit on top of the Figure 1 path:
 
@@ -13,8 +15,8 @@ Two batch-engine integrations sit on top of the Figure 1 path:
   path answers hot sessions from the LRU result cache;
 * :meth:`handle_batch` serves whole batches of raw sessions (offline
   consumers: email campaigns, cache warmers, evaluation replays) through
-  a cluster-level engine, bypassing the sticky router and the per-user
-  session stores.
+  a cluster-level engine, bypassing the ring and the per-user session
+  stores.
 
 SLA guardrails (:mod:`repro.serving.resilience`) are opt-in via a
 :class:`~repro.serving.resilience.ResiliencePolicy`:
@@ -26,11 +28,12 @@ SLA guardrails (:mod:`repro.serving.resilience`) are opt-in via a
   :class:`~repro.serving.resilience.AdmissionController` that sheds
   oldest-first with :class:`~repro.serving.resilience.Overloaded` (a 429)
   when the cluster is saturated;
-* requests routed to a pod that died without deregistering are re-routed
-  over the surviving pods (the hash ring is healed lazily, the way a
-  health check would);
 * with a ``wal_dir``, each pod's session store writes a WAL and a
   restarted pod (:meth:`restart_pod`) recovers its evolving sessions.
+
+With or without guardrails, requests routed to a pod that died without
+deregistering are re-routed over the surviving pods (the ring is healed
+lazily, the way a health check would).
 """
 
 from __future__ import annotations
@@ -57,8 +60,7 @@ from repro.serving.resilience import (
     StaticRecommender,
     popularity_from_index,
 )
-from repro.serving.ring import ReplicationPolicy, RingCoordinator
-from repro.serving.router import StickySessionRouter
+from repro.serving.ring import HashRing, ReplicationPolicy, RingCoordinator
 from repro.serving.rules import BusinessRules
 from repro.serving.server import (
     RecommendationRequest,
@@ -70,7 +72,7 @@ RecommenderFactory = Callable[[], SessionRecommender]
 
 
 class ServingCluster:
-    """A fleet of stateful recommendation servers behind sticky routing."""
+    """A fleet of stateful recommendation servers behind the shard ring."""
 
     def __init__(
         self,
@@ -78,7 +80,6 @@ class ServingCluster:
         num_pods: int = 2,
         rules: BusinessRules | None = None,
         clock: Clock | None = None,
-        record_service_times: bool = True,
         cache_size: int = 0,
         resilience: ResiliencePolicy | None = None,
         fallback_factory: RecommenderFactory | None = None,
@@ -105,7 +106,7 @@ class ServingCluster:
             static_items: the terminal static ranked list; only used when
                 ``resilience`` is on.
             wal_dir: directory for per-pod session WALs; ``None`` keeps
-                sessions memory-only (state dies with the pod, §4.2).
+                sessions memory-only (a crash loses them, §4.2).
             index_version: label of the index version the factory builds
                 (e.g. a registry version id); surfaced per pod in
                 ``rollout_info()`` and ``/metrics``.
@@ -115,23 +116,29 @@ class ServingCluster:
                 monotonic clocks; the deterministic simulation layer
                 (:mod:`repro.testing.simulation`) injects a
                 :class:`~repro.testing.clock.VirtualClock` here.
-            replication: enable the replicated shard ring with this
-                policy: each session gets one leader and R-1 followers on
-                the consistent-hash ring, leader appends tail-ship to the
-                followers, leader death promotes an in-sync follower, and
-                slow leaders are hedged against a follower within the
-                deadline budget. ``None`` keeps single-copy sticky
-                routing (seed behaviour).
+            replication: the ring's policy: each session gets one leader
+                and R-1 followers on the consistent-hash ring, leader
+                appends tail-ship to the followers, leader death promotes
+                an in-sync follower, and slow leaders are hedged against
+                a follower within the deadline budget. ``None`` is
+                single-copy sticky routing, the ring at R = 1, with the
+                resilience policy's deadline budget when there is one.
         """
         if num_pods < 1:
             raise ValueError("num_pods must be >= 1")
         self._factory = recommender_factory
+        if replication is None:
+            replication = ReplicationPolicy(
+                replication_factor=1,
+                budget_ms=(
+                    resilience.budget_ms
+                    if resilience is not None
+                    else ReplicationPolicy.budget_ms
+                ),
+            )
         self.replication = replication
-        self.router = (
-            StickySessionRouter(virtual_nodes=replication.virtual_nodes)
-            if replication is not None
-            else StickySessionRouter()
-        )
+        #: session key -> pod placement; the coordinator heals it.
+        self.router = HashRing(virtual_nodes=replication.virtual_nodes)
         self.pods: dict[str, RecommendationServer] = {}
         self._cache_size = cache_size
         self._batch_engine: BatchPredictionEngine | None = None
@@ -167,15 +174,12 @@ class ServingCluster:
         self.rollout_state = "idle"
         self._rules = rules
         self._clock = clock
-        self._record_service_times = record_service_times
-        #: the replicated-ring request coordinator (None = seed routing).
-        self.coordinator: RingCoordinator | None = (
-            RingCoordinator(self, replication, perf_clock=perf_clock)
-            if replication is not None
-            else None
+        #: the request path: routes, heals, replicates and hedges.
+        self.coordinator = RingCoordinator(
+            self, replication, perf_clock=perf_clock
         )
         for pod_number in range(num_pods):
-            self._spawn_pod(f"pod-{pod_number}", rules, clock, record_service_times)
+            self._spawn_pod(f"pod-{pod_number}")
 
     @property
     def committed_factory(self) -> RecommenderFactory:
@@ -228,22 +232,16 @@ class ServingCluster:
             return None
         return str(self.wal_dir / f"{pod_id}.wal")
 
-    def _spawn_pod(
-        self,
-        pod_id: str,
-        rules: BusinessRules | None,
-        clock: Clock | None,
-        record_service_times: bool,
-    ) -> None:
+    def _spawn_pod(self, pod_id: str) -> None:
         server = RecommendationServer(
             pod_id,
             self._pod_recommender(),
-            rules=rules,
-            clock=clock,
-            record_service_times=record_service_times,
+            rules=self._rules,
+            clock=self._clock,
             wal_path=self._pod_wal_path(pod_id),
             perf_clock=self._perf_clock,
-            replicate_sessions=self.replication is not None,
+            # A replication log with no follower to ship to only grows.
+            replicate_sessions=self.replication.replication_factor > 1,
             # Chaos stalls must burn *virtual* time when a virtual perf
             # clock is injected, so the hedge race stays deterministic.
             stall_sleep=getattr(self._perf_clock, "sleep", None),
@@ -252,7 +250,7 @@ class ServingCluster:
         self.pod_versions[pod_id] = self.index_version
         # A crashed pod may have died without deregistering; its ring entry
         # is still there and must not be duplicated on restart.
-        if pod_id not in self.router.pods:
+        if pod_id not in self.router:
             self.router.add_pod(pod_id)
 
     @classmethod
@@ -301,40 +299,24 @@ class ServingCluster:
     # -- request path --------------------------------------------------------
 
     def route_live(self, session_key: str) -> str:
-        """The live pod owning this session, healing the ring as needed.
-
-        A pod that died abruptly (machine failure) never deregistered; the
-        first request routed to it discovers the death, removes the stale
-        ring entry and re-routes — rendezvous hashing guarantees only the
-        dead pod's sessions move.
-        """
-        pod_id = self.router.route(session_key)
-        while pod_id not in self.pods:
-            self.router.remove_pod(pod_id)
-            self.rerouted_requests += 1
-            pod_id = self.router.route(session_key)
-        return pod_id
-
-    def _serve(self, request: RecommendationRequest) -> RecommendationResponse:
-        """Dispatch to the ring coordinator or the single-copy pod path."""
-        if self.coordinator is not None:
-            return self.coordinator.handle(request)
-        return self.pods[self.route_live(request.session_key)].handle(request)
+        """The live pod leading this session, healing the ring as needed
+        (see :meth:`RingCoordinator.live_preferences`)."""
+        return self.coordinator.live_preferences(session_key)[0]
 
     def handle(self, request: RecommendationRequest) -> RecommendationResponse:
-        """Route a frontend request to the owning pod and serve it.
+        """Serve a frontend request on the pod leading its session.
 
         With guardrails on, the request first takes a slot in the bounded
         admission queue; if the cluster is saturated the oldest queued
         request (possibly this one) is shed with :class:`Overloaded`.
         """
         if self.admission is None:
-            return self._serve(request)
+            return self.coordinator.handle(request)
         token = self.admission.submit(request.session_key)
         try:
             if token.shed:
                 raise Overloaded()
-            return self._serve(request)
+            return self.coordinator.handle(request)
         finally:
             self.admission.release(token)
 
@@ -371,7 +353,7 @@ class ServingCluster:
     def kill_pod(self, pod_id: str) -> RecommendationServer:
         """Abruptly kill a pod (machine failure).
 
-        The pod is dropped without deregistering from the router — a dead
+        The pod is dropped without deregistering from the ring — a dead
         machine does not announce its death — and without closing its
         session store, so buffered-but-unflushed state behaves exactly as
         a crash would leave it. Returns the dead server for inspection.
@@ -385,49 +367,39 @@ class ServingCluster:
         """Restart a killed pod on the same volume.
 
         With a ``wal_dir``, the fresh session store replays the pod's WAL
-        and recovers every evolving session the crash did not lose;
-        without one, the pod comes back empty (the paper's trade-off).
-        Returns the new server; recovered sessions are counted on the
-        cluster.
+        and recovers every evolving session the crash did not lose —
+        those are what ``recovered_sessions`` counts; without one nothing
+        comes back from disk. Either way the pod's virtual points are
+        back on the ring, so the sessions in its segments that the
+        survivors kept serving move onto it (a superset of the paper's
+        "state dies with the pod"). Returns the new server.
         """
         if pod_id in self.pods:
             raise ValueError(f"pod {pod_id!r} is already running")
-        self._spawn_pod(pod_id, self._rules, self._clock, self._record_service_times)
+        self._spawn_pod(pod_id)
         server = self.pods[pod_id]
         self.recovered_sessions += len(server.sessions)
-        if self.coordinator is not None:
-            # The pod's virtual points are back on the ring: move the
-            # sessions in its segments onto it (snapshot + catch-up).
-            self.coordinator.rebalance()
+        self.coordinator.rebalance()
         return server
 
     def scale_to(self, num_pods: int) -> None:
-        """Elastically add/remove pods. Planned scale-down is graceful:
-        the pod deregisters and deletes its WAL. Without replication,
-        sessions on removed pods are lost (the trade-off the paper accepts
-        and discusses in §4.2); with the ring, scale-up triggers a
-        minimal-movement rebalance and scale-down drains every session to
-        its new owners *before* the WAL is deleted."""
+        """Elastically add/remove pods. Scale-up triggers a
+        minimal-movement rebalance onto the new pods. Planned scale-down
+        is graceful: the pod deregisters, drains every session to its
+        new owners, and only then deletes its WAL (the paper, §4.2,
+        accepts losing those sessions; here they move)."""
         if num_pods < 1:
             raise ValueError("num_pods must be >= 1")
         current = len(self.pods)
         for pod_number in range(current, num_pods):
-            self._spawn_pod(
-                f"pod-{pod_number}",
-                self._rules,
-                self._clock,
-                self._record_service_times,
-            )
-        if self.coordinator is not None and num_pods > current:
+            self._spawn_pod(f"pod-{pod_number}")
+        if num_pods > current:
             self.coordinator.rebalance()
         for pod_number in range(num_pods, current):
             pod_id = f"pod-{pod_number}"
-            if self.coordinator is not None:
-                # Drain-then-delete: hand the WAL tail to the new owners
-                # first, only then close and delete the store.
-                self.coordinator.decommission(pod_id)
-            else:
-                self.router.remove_pod(pod_id)
+            # Drain-then-delete: hand the sessions to the new owners
+            # first, only then close and delete the store.
+            self.coordinator.decommission(pod_id)
             server = self.pods.pop(pod_id)
             self.pod_versions.pop(pod_id, None)
             server.sessions.close(delete_wal=True)
@@ -527,22 +499,17 @@ class ServingCluster:
 
         Requests keep flowing to both pods; only leader→follower tail
         shipping stops, so the follower's copies of keys appended during
-        the partition go stale and are fenced.
+        the partition go stale and are fenced. At R = 1 no tail crosses
+        the link, so cutting it changes nothing.
         """
-        if self.coordinator is None:
-            raise RuntimeError("partition requires a replicated ring")
         self.coordinator.partition(pod_a, pod_b)
 
     def heal_partition(self, pod_a: str, pod_b: str) -> None:
         """Restore a cut link; the next append ships the catch-up tail."""
-        if self.coordinator is None:
-            raise RuntimeError("heal_partition requires a replicated ring")
         self.coordinator.heal_partition(pod_a, pod_b)
 
     def ring_info(self) -> dict:
-        """Replicated-ring state for ``/metrics``, ``/healthz``, operators."""
-        if self.coordinator is None:
-            return {"enabled": False}
+        """Ring state for ``/metrics``, ``/healthz`` and operators."""
         return self.coordinator.info()
 
     # -- introspection -------------------------------------------------------

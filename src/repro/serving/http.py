@@ -13,7 +13,7 @@ a session update and receives 21 recommended items. This module exposes a
   ``{"sessions": [[42, 7], [13]], "count": 21}``; responds
   ``{"results": [[{"item_id": ..., "score": ...}, ...], ...],
   "latency_ms": ..., "cache": {"hits": ..., "hit_rate": ...}}``.
-  Served by the cluster's batch engine, not the sticky router.
+  Served by the cluster's batch engine, not the shard ring.
 * ``GET /healthz`` — liveness probe (Kubernetes-style).
 * ``GET /metrics`` — Prometheus text exposition of request counts and
   latency histograms, plus the SLA-guardrail series
@@ -245,15 +245,15 @@ class SerenadeService:
             "serenade_index_staleness_seconds",
             "Event-time gap between the log head and the indexed head",
         )
-        # Replicated-ring series: per-shard placement gauges plus the
-        # hedge/failover counters of the coordinator (synced on scrape).
+        # Ring series: per-pod placement gauges plus the hedge/failover
+        # counters of the coordinator (synced on scrape).
         self._ring_leader_sessions = self.metrics.gauge(
             "serenade_ring_leader_sessions",
-            "Sessions this pod leads on the replicated ring",
+            "Sessions this pod leads on the ring",
         )
         self._ring_follower_sessions = self.metrics.gauge(
             "serenade_ring_follower_sessions",
-            "Sessions this pod follows on the replicated ring",
+            "Sessions this pod follows on the ring",
         )
         self._ring_replication_lag = self.metrics.gauge(
             "serenade_ring_replication_lag_bytes",
@@ -273,7 +273,7 @@ class SerenadeService:
         )
         self._ring_failovers = self.metrics.counter(
             "serenade_ring_failovers_total",
-            "Leader deaths that promoted a follower",
+            "Leader deaths that moved a key to its next live pod",
         )
 
     def recommend(self, payload: dict) -> dict:
@@ -364,22 +364,21 @@ class SerenadeService:
             self._streaming_watermark.set(streaming.watermark_seconds())
             self._index_staleness.set(streaming.staleness_seconds())
         ring = self.cluster.ring_info()
-        if ring["enabled"]:
-            for pod_id, count in ring["leader_sessions"].items():
-                self._ring_leader_sessions.set(float(count), pod=pod_id)
-            for pod_id, count in ring["follower_sessions"].items():
-                self._ring_follower_sessions.set(float(count), pod=pod_id)
-            for link, lag in ring["replication_lag"].items():
-                self._ring_replication_lag.set(float(lag), link=link)
-            for counter, key in (
-                (self._ring_hedges, "hedges_fired"),
-                (self._ring_hedge_wins, "hedge_wins"),
-                (self._ring_fenced_hedges, "fenced_hedges"),
-                (self._ring_failovers, "failovers"),
-            ):
-                ring_delta = ring[key] - counter.value()
-                if ring_delta > 0:
-                    counter.increment(ring_delta)
+        for pod_id, count in ring["leader_sessions"].items():
+            self._ring_leader_sessions.set(float(count), pod=pod_id)
+        for pod_id, count in ring["follower_sessions"].items():
+            self._ring_follower_sessions.set(float(count), pod=pod_id)
+        for link, lag in ring["replication_lag"].items():
+            self._ring_replication_lag.set(float(lag), link=link)
+        for counter, key in (
+            (self._ring_hedges, "hedges_fired"),
+            (self._ring_hedge_wins, "hedge_wins"),
+            (self._ring_fenced_hedges, "fenced_hedges"),
+            (self._ring_failovers, "failovers"),
+        ):
+            ring_delta = ring[key] - counter.value()
+            if ring_delta > 0:
+                counter.increment(ring_delta)
         return self.metrics.render_prometheus()
 
     def health(self) -> dict:

@@ -1,17 +1,18 @@
-"""Replicated shard ring: leader/follower session state + hedged reads.
+"""The shard ring: the one request path, with R copies of every session.
 
 The paper's deployment (§4.1) pins every session to one pod via
-Kubernetes session affinity. That is the availability weak spot of the
-design: kill the pod and its evolving sessions are gone until WAL replay,
-and a single straggler pod owns the p99 of every session routed to it.
-This module adds the tail-at-scale ingredients on top of the existing
-serving stack:
+Kubernetes session affinity. That is this ring at R = 1 — the default:
+one leader per key, nothing shipped, nothing hedged. It is also the
+availability weak spot of the design: kill the pod and its evolving
+sessions are gone until WAL replay, and a single straggler pod owns the
+p99 of every session routed to it. Raising R adds the tail-at-scale
+ingredients on the same path:
 
 * :class:`HashRing` — a consistent-hash ring with virtual nodes. Each pod
   projects ``virtual_nodes`` points onto a 64-bit circle; a session key
   is owned by the first point at or clockwise of its hash. Adding or
   removing a pod moves only the ring segments that pod's points delimit —
-  the minimal-movement property the rebalancer and the router build on.
+  the minimal-movement property routing and the rebalancer build on.
 * :class:`ReplicationPolicy` — per-shard replication factor R: the first
   R distinct pods clockwise of a key form its *preference list*; the
   first is the **leader**, the rest are **followers**.
@@ -51,7 +52,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.core.contracts import happens_before
 from repro.core.deadline import Clock, Deadline
-from repro.core.locking import guarded_by
+from repro.core.locking import guarded_by, holds_lock
 from repro.core.types import ItemId
 from repro.serving.resilience import hedge_delay_seconds
 from repro.serving.server import (
@@ -117,8 +118,11 @@ class HashRing:
         if pod_id in self._pods:
             raise ValueError(f"pod {pod_id!r} already registered")
         self._pods.append(pod_id)
-        for point in self._pod_points(pod_id):
-            bisect.insort(self._points, (point, pod_id))
+        # A new list, never an in-place edit: lookups run without a lock
+        # and must see either the old ring or the new one.
+        self._points = sorted(
+            self._points + [(point, pod_id) for point in self._pod_points(pod_id)]
+        )
 
     def remove_pod(self, pod_id: str) -> None:
         """Withdraw the pod's points; its segments fall to their clockwise
@@ -144,16 +148,16 @@ class HashRing:
         """The first ``n`` distinct pods clockwise of the key's point.
 
         Fewer than ``n`` pods registered returns them all; an empty ring
-        raises ``RuntimeError`` (the router's no-pods contract).
+        raises ``RuntimeError``.
         """
-        if not self._pods:
+        points = self._points  # one snapshot: membership may change under us
+        if not points:
             raise RuntimeError("no pods registered")
-        point = _hash64(session_key)
-        start = bisect.bisect_left(self._points, (point, ""))
+        start = bisect.bisect_left(points, (_hash64(session_key), ""))
         prefs: list[str] = []
-        total = len(self._points)
+        total = len(points)
         for step in range(total):
-            _, pod_id = self._points[(start + step) % total]
+            _, pod_id = points[(start + step) % total]
             if pod_id not in prefs:
                 prefs.append(pod_id)
                 if len(prefs) == n:
@@ -186,10 +190,11 @@ class HashRing:
 
 @dataclass(frozen=True)
 class ReplicationPolicy:
-    """Knobs of the replicated ring (defaults match the paper's 50 ms SLA)."""
+    """Knobs of the ring (defaults match the paper's 50 ms SLA)."""
 
-    #: copies per shard: one leader + R-1 followers. 1 disables
-    #: replication (ring routing and rebalancing still apply).
+    #: copies per shard: one leader + R-1 followers. 1 is single-copy
+    #: sticky routing (what a cluster built without a policy runs): no
+    #: replication log, no hedge; healing and rebalancing still apply.
     replication_factor: int = 2
     #: virtual points per pod on the ring.
     virtual_nodes: int = DEFAULT_VIRTUAL_NODES
@@ -245,7 +250,7 @@ class ReplicationLink:
     "drained_sessions",
 )
 class RingCoordinator:
-    """The replicated request path over a :class:`ServingCluster`'s ring.
+    """The request path over a :class:`ServingCluster`'s ring.
 
     The coordinator owns no session state itself: leaders and followers
     are ordinary :class:`RecommendationServer` pods, and all state flows
@@ -291,7 +296,7 @@ class RingCoordinator:
         return link
 
     def _drop_links(self, pod_id: str) -> None:
-        for key in [k for k in self._links if pod_id in k]:
+        for key in [k for k in list(self._links) if pod_id in k]:
             del self._links[key]
 
     def partition(self, pod_a: str, pod_b: str) -> None:
@@ -311,34 +316,51 @@ class RingCoordinator:
     def live_preferences(self, session_key: str) -> list[str]:
         """The key's preference list over *live* pods, healing the ring.
 
-        A dead pod discovered here is removed from the ring (lazy
-        healing, as the seed's ``route_live`` did). When the dead pod was
-        the key's leader, the next live pod in the preference list is
-        promoted; if its link to the dead leader had fenced stale keys,
-        those sessions are dropped before the promoted pod serves.
+        A pod that died abruptly (machine failure) never deregistered;
+        the first request whose preference list names it discovers the
+        death and takes the stale entry off the ring — consistent
+        hashing guarantees only the dead pod's sessions move. The
+        healthy path takes no lock.
+        """
+        prefs = self._cluster.router.preference_list(
+            session_key, self.policy.replication_factor
+        )
+        live = self._cluster.pods
+        for pod_id in prefs:
+            if pod_id not in live:
+                return self._heal(session_key)
+        return prefs
+
+    def _heal(self, session_key: str) -> list[str]:
+        """Remove the key's dead pods from the ring, once per death.
+
+        Every request that saw the same dead pod queues on the lock; the
+        preference list is read again under it, so the first one in
+        removes the pod and counts the death and the rest find a ring
+        that is already healed. When the dead pod was the key's leader
+        the next live pod is promoted; if its link to the dead leader
+        had fenced stale keys, those sessions are dropped before the
+        promoted pod serves.
         """
         cluster = self._cluster
         router = cluster.router
-        prefs = router.preference_list(
-            session_key, self.policy.replication_factor
-        )
-        while any(pod_id not in cluster.pods for pod_id in prefs):
-            dead = next(p for p in prefs if p not in cluster.pods)
-            was_leader = dead == prefs[0]
-            router.remove_pod(dead)
-            cluster.rerouted_requests += 1
-            prefs = router.preference_list(
-                session_key, self.policy.replication_factor
-            )
-            if was_leader:
-                with self._lock:
+        factor = self.policy.replication_factor
+        with self._lock:
+            while True:
+                prefs = router.preference_list(session_key, factor)
+                dead = next((p for p in prefs if p not in cluster.pods), None)
+                if dead is None:
+                    return prefs
+                router.remove_pod(dead)
+                cluster.rerouted_requests += 1
+                if dead == prefs[0]:
                     self.failovers += 1
-                promoted = prefs[0]
-                if promoted in cluster.pods:
-                    self._fence_promoted(dead, promoted)
-            self._drop_links(dead)
-        return prefs
+                    promoted = router.primary(session_key)
+                    if promoted in cluster.pods:
+                        self._fence_promoted(dead, promoted)
+                self._drop_links(dead)
 
+    @holds_lock("_lock")
     def _fence_promoted(self, dead_leader: str, promoted: str) -> None:
         """Drop the promoted follower's stale sessions (fencing rule).
 
@@ -354,28 +376,32 @@ class RingCoordinator:
         store = self._cluster.pods[promoted].sessions
         for stale_key in sorted(link.stale_keys):
             if store.drop_session(stale_key):
-                with self._lock:
-                    self.fenced_sessions += 1
+                self.fenced_sessions += 1
         link.stale_keys.clear()
 
     # -- replication ----------------------------------------------------------
 
-    def _owned_by(self, follower_id: str) -> Callable[[str], bool]:
+    def _owned_by(
+        self, follower_id: str, session_key: str
+    ) -> Callable[[str], bool]:
+        """Which records of a tail shipped for ``session_key`` the
+        follower keeps: that key (it is on its preference list) and any
+        other key of the leader's log the follower also replicates."""
         router = self._cluster.router
         factor = self.policy.replication_factor
 
-        def owns(session_key: str) -> bool:
-            return follower_id in router.preference_list(session_key, factor)
+        def owns(record_key: str) -> bool:
+            return record_key == session_key or follower_id in (
+                router.preference_list(record_key, factor)
+            )
 
         return owns
 
-    def _replicate(self, leader_id: str, session_key: str) -> None:
+    def _replicate(self, prefs: list[str], session_key: str) -> None:
         """Ship the leader's log tail to each live follower of the key."""
         cluster = self._cluster
+        leader_id = prefs[0]
         leader = cluster.pods[leader_id]
-        prefs = cluster.router.preference_list(
-            session_key, self.policy.replication_factor
-        )
         for follower_id in prefs[1:]:
             follower = cluster.pods.get(follower_id)
             if follower is None:
@@ -387,7 +413,7 @@ class RingCoordinator:
             tail = leader.sessions.tail_bytes(link.acked_offset)
             if tail:
                 follower.sessions.apply_tail(
-                    tail, key_filter=self._owned_by(follower_id)
+                    tail, key_filter=self._owned_by(follower_id, session_key)
                 )
             link.acked_offset = leader.sessions.replication_offset
             # Fully caught up: everything appended during any earlier
@@ -417,15 +443,22 @@ class RingCoordinator:
         prefs = self.live_preferences(request.session_key)
         leader = cluster.pods[prefs[0]]
 
+        # A single-copy key (R = 1, or one pod left) has nobody to ship
+        # to and nobody to hedge against.
+        replicated = len(prefs) > 1
         started = perf()
         visible = leader.update_session(request)
-        if request.consent:
-            self._replicate(prefs[0], request.session_key)
+        if replicated and request.consent:
+            self._replicate(prefs, request.session_key)
         store_done = perf()
 
         # The hedge delay is fixed *before* the leader runs — it models
         # the timer armed when the request is dispatched.
-        hedge_delay = hedge_delay_seconds(deadline, self.policy.hedge_fraction)
+        hedge_delay = (
+            hedge_delay_seconds(deadline, self.policy.hedge_fraction)
+            if replicated and self.policy.hedge_enabled
+            else None
+        )
         items, degraded, stage = leader.predict(
             visible, request.how_many, deadline=deadline
         )
@@ -433,11 +466,7 @@ class RingCoordinator:
         winner = leader
         effective = leader_elapsed
 
-        if (
-            self.policy.hedge_enabled
-            and len(prefs) > 1
-            and leader_elapsed > hedge_delay
-        ):
+        if hedge_delay is not None and leader_elapsed > hedge_delay:
             follower_id = self._hedge_target(
                 prefs[0], prefs[1:], request.session_key
             )
@@ -553,13 +582,13 @@ class RingCoordinator:
         """
         cluster = self._cluster
         server = cluster.pods[pod_id]
-        if pod_id in cluster.router.pods:
+        if pod_id in cluster.router:
             cluster.router.remove_pod(pod_id)
         drained = 0
         sessions = server.sessions.as_dict()
         for session_key in sorted(sessions):
             items = sessions[session_key]
-            if not cluster.router.pods:
+            if not len(cluster.router):
                 break
             for target_id in cluster.router.preference_list(
                 session_key, self.policy.replication_factor
@@ -579,13 +608,27 @@ class RingCoordinator:
     # -- introspection --------------------------------------------------------
 
     def info(self) -> dict:
-        """Ring state for ``/metrics``, ``/healthz`` and the serve CLI."""
+        """Ring state for ``/metrics``, ``/healthz`` and the serve CLI.
+
+        Every server exports this on every scrape, so at R = 1 it costs
+        O(pods): a single-member preference list makes every entry a
+        live pod holds a leader session (entries past their TTL count
+        until the store sweeps them). At R > 1 telling leader from
+        follower copies hashes every live session key — about 1.7 µs
+        per session with the interpreter lock held.
+        """
         cluster = self._cluster
         router = cluster.router
         factor = self.policy.replication_factor
-        leader_sessions = {pod_id: 0 for pod_id in cluster.pods}
-        follower_sessions = {pod_id: 0 for pod_id in cluster.pods}
-        if router.pods:
+        if min(factor, len(router)) <= 1:
+            leader_sessions = {
+                pod_id: len(server.sessions)
+                for pod_id, server in cluster.pods.items()
+            }
+            follower_sessions = dict.fromkeys(cluster.pods, 0)
+        else:
+            leader_sessions = dict.fromkeys(cluster.pods, 0)
+            follower_sessions = dict.fromkeys(cluster.pods, 0)
             for pod_id, server in cluster.pods.items():
                 for session_key in server.sessions.session_keys():
                     prefs = router.preference_list(session_key, factor)
@@ -614,7 +657,6 @@ class RingCoordinator:
                 "drained_sessions": self.drained_sessions,
             }
         return {
-            "enabled": True,
             "replication_factor": factor,
             "virtual_nodes": self.policy.virtual_nodes,
             "hedge_enabled": self.policy.hedge_enabled,

@@ -92,7 +92,6 @@ class RecommendationServer:
         rules: BusinessRules | None = None,
         session_ttl: float = 30 * 60,
         clock: Clock | None = None,
-        record_service_times: bool = True,
         wal_path: str | None = None,
         perf_clock: Clock | None = None,
         replicate_sessions: bool = False,
@@ -108,7 +107,6 @@ class RecommendationServer:
             replicate=replicate_sessions,
         )
         self.stats = ServerStats()
-        self._record_service_times = record_service_times
         # Service-time measurement clock. Injectable so the deterministic
         # simulation layer can measure *virtual* elapsed time instead of
         # real CPU time, making latency assertions exact.
@@ -203,8 +201,7 @@ class RecommendationServer:
         """Account one served request against this pod's counters."""
         self.stats.requests += 1
         self.stats.busy_seconds += elapsed
-        if self._record_service_times:
-            self.stats.service_times.append(elapsed)
+        self.stats.service_times.append(elapsed)
 
     def handle(self, request: RecommendationRequest) -> RecommendationResponse:
         """Process one request: update state, predict, filter."""

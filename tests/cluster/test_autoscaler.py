@@ -10,6 +10,7 @@ from repro.cluster.autoscaler import (
 )
 from repro.cluster.loadgen import TimedRequest
 from repro.serving.app import ServingCluster
+from repro.serving.resilience import ResiliencePolicy
 from repro.serving.server import RecommendationRequest
 
 
@@ -133,6 +134,15 @@ class TestSimulator:
         )
         result = simulator.run(arrivals(50, 10.0))
         assert result.max_pods_used <= 3
+
+    def test_requests_cross_the_clusters_front_door(self, toy_index):
+        cluster = ServingCluster.with_index(
+            toy_index, num_pods=2, m=5, k=5, resilience=ResiliencePolicy()
+        )
+        simulator = AutoscalingSimulator(cluster, AutoscalePolicy(min_pods=2))
+        result = simulator.run(arrivals(20, 5.0))
+        assert result.total_requests == 100
+        assert cluster.resilience_info()["requests"] == 100
 
     def test_parameter_validation(self, toy_index):
         cluster = ServingCluster.with_index(toy_index, num_pods=1, m=5, k=5)

@@ -81,13 +81,13 @@ class TestKillWithRestart:
 
     def test_routing_restored_after_restart(self, small_log):
         cluster = make_cluster(small_log, num_pods=3)
-        before = {f"k{i}": cluster.router.route(f"k{i}") for i in range(50)}
+        before = {f"k{i}": cluster.router.primary(f"k{i}") for i in range(50)}
         generator = TrafficGenerator(small_log, seed=5)
         injector = ChaosInjector(
             cluster, [PodKill(at_time=2.0, pod_id="pod-2", restart_at=4.0)]
         )
         injector.run(generator.generate(constant_rate(40), duration=10))
-        after = {key: cluster.router.route(key) for key in before}
+        after = {key: cluster.router.primary(key) for key in before}
         # Rendezvous hashing: with the pod back, the mapping is restored.
         assert after == before
 

@@ -8,6 +8,7 @@ from repro.cluster.loadgen import TimedRequest, TrafficGenerator, constant_rate
 from repro.cluster.simulation import ClusterSimulator, format_timeline
 from repro.core.index import SessionIndex
 from repro.serving.app import ServingCluster
+from repro.serving.resilience import ResiliencePolicy
 from repro.serving.server import RecommendationRequest
 from repro.testing.clock import VirtualClock
 
@@ -53,10 +54,10 @@ class TestSimulation:
                 clock.advance(0.004)  # 4 ms of virtual compute, no sleep
                 return []
 
-        slow_cluster = ServingCluster(lambda: SlowRecommender(), num_pods=1)
-        simulator = ClusterSimulator(
-            slow_cluster, cores_per_pod=1, perf_clock=clock
+        slow_cluster = ServingCluster(
+            lambda: SlowRecommender(), num_pods=1, perf_clock=clock
         )
+        simulator = ClusterSimulator(slow_cluster, cores_per_pod=1)
         arrivals = [
             TimedRequest(i * 0.001, RecommendationRequest(f"u{i}", 1))
             for i in range(100)
@@ -65,6 +66,21 @@ class TestSimulation:
         # Service takes 4 ms but arrivals come every 1 ms: the tail of the
         # queue waits for ~100 * 3 ms of backlog.
         assert result.latency.percentile(99) > result.latency.percentile(10) * 5
+
+    def test_requests_cross_the_clusters_front_door(self, medium_log):
+        """The simulator used to call ``pod.handle`` directly and so never
+        crossed admission, the ring or the guardrails."""
+        index = SessionIndex.from_clicks(medium_log, max_sessions_per_item=100)
+        cluster = ServingCluster.with_index(
+            index, num_pods=2, m=100, k=50, resilience=ResiliencePolicy()
+        )
+        generator = TrafficGenerator(medium_log, seed=14)
+        result = ClusterSimulator(cluster).run(
+            generator.generate(constant_rate(30), duration=5)
+        )
+        assert result.total_requests > 0
+        assert cluster.resilience_info()["requests"] == result.total_requests
+        assert cluster.admission.admitted_count == result.total_requests
 
     def test_format_timeline_renders(self, sim_cluster, medium_log):
         generator = TrafficGenerator(medium_log, seed=13)

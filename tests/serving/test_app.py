@@ -1,4 +1,4 @@
-"""Tests for the serving cluster (router + pods)."""
+"""Tests for the serving cluster (ring + pods)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,9 @@ from repro.core.index import SessionIndex
 from repro.core.types import Click
 from repro.core.vmis import VMISKNN
 from repro.serving.app import ServingCluster
-from repro.serving.server import RecommendationRequest
+from repro.serving.resilience import ResiliencePolicy
+from repro.serving.ring import ReplicationPolicy
+from repro.serving.server import RecommendationRequest, RecommendationServer
 
 
 @pytest.fixture()
@@ -26,7 +28,7 @@ class TestRouting:
 
     def test_state_lives_on_owning_pod_only(self, cluster):
         cluster.handle(RecommendationRequest("u-x", 1))
-        owner = cluster.router.route("u-x")
+        owner = cluster.router.primary("u-x")
         for pod_id, server in cluster.pods.items():
             stored = server.sessions.get_session("u-x")
             if pod_id == owner:
@@ -39,6 +41,101 @@ class TestRouting:
             cluster.handle(RecommendationRequest(f"user-{i}", 1))
         assert cluster.total_requests() == 10
         assert len(cluster.all_service_times()) == 10
+
+
+class TestOneRequestPath:
+    """Sticky routing is the ring at R = 1: every cluster has a
+    coordinator, and a single-copy one keeps nothing that grows."""
+
+    def test_default_cluster_is_the_ring_at_one_copy(self, cluster):
+        assert cluster.coordinator is not None
+        info = cluster.ring_info()
+        assert info["replication_factor"] == 1
+        assert info["ring_pods"] == ["pod-0", "pod-1", "pod-2"]
+        response = cluster.handle(RecommendationRequest("u-1", 1))
+        assert response.served_by == cluster.route_live("u-1")
+        assert cluster.ring_info()["leader_sessions"][response.served_by] == 1
+
+    def test_default_budget_is_the_resilience_policys(self, toy_index):
+        guarded = ServingCluster.with_index(
+            toy_index, m=10, k=10, resilience=ResiliencePolicy(budget_ms=20.0)
+        )
+        assert guarded.replication.budget_ms == 20.0
+        assert guarded.replication.replication_factor == 1
+
+    def test_policy_virtual_nodes_reach_the_ring(self, toy_index):
+        cluster = ServingCluster.with_index(
+            toy_index, m=10, k=10, replication=ReplicationPolicy(virtual_nodes=16)
+        )
+        assert cluster.router.virtual_nodes == 16
+
+    def test_single_copy_keeps_no_replication_log(self, toy_index):
+        """Nothing grows with uptime at R = 1; R = 2 still ships."""
+        clicks = [(f"user-{i % 200}", 1 + i % 5) for i in range(2000)]
+        single = ServingCluster.with_index(toy_index, num_pods=2, m=10, k=10)
+        for key, item in clicks:
+            single.handle(RecommendationRequest(key, item))
+        for server in single.pods.values():
+            assert server.sessions.replication_offset == 0
+        assert single.ring_info()["replication_lag"] == {}
+
+        double = ServingCluster.with_index(
+            toy_index,
+            num_pods=2,
+            m=10,
+            k=10,
+            replication=ReplicationPolicy(replication_factor=2),
+        )
+        applied = []
+        for server in double.pods.values():
+            original = server.sessions.apply_tail
+
+            def recording(data, key_filter=None, _original=original):
+                report = _original(data, key_filter=key_filter)
+                applied.append(report.applied)
+                return report
+
+            server.sessions.apply_tail = recording
+        for key, item in clicks:
+            double.handle(RecommendationRequest(key, item))
+        assert sum(applied) / len(clicks) > 0  # ring.records_applied_per_write
+        assert all(s.sessions.replication_offset > 0 for s in double.pods.values())
+
+    def test_partition_is_harmless_without_followers(self, cluster):
+        cluster.partition("pod-0", "pod-1")
+        assert cluster.handle(RecommendationRequest("u-2", 1)).items
+        cluster.heal_partition("pod-0", "pod-1")
+        assert cluster.ring_info()["partitioned_links"] == []
+
+    def test_service_time_recording_is_not_a_knob(self):
+        """Pods always keep the bounded service-time window; the opt-out
+        (no caller ever set it) is gone from both constructors."""
+        import inspect
+
+        assert list(inspect.signature(ServingCluster).parameters) == [
+            "recommender_factory",
+            "num_pods",
+            "rules",
+            "clock",
+            "cache_size",
+            "resilience",
+            "fallback_factory",
+            "static_items",
+            "wal_dir",
+            "index_version",
+            "perf_clock",
+            "replication",
+        ]
+        knobs = inspect.signature(RecommendationServer).parameters
+        assert not [name for name in knobs if "service_time" in name]
+
+    def test_scale_down_drains_sessions_to_their_new_owners(self, cluster):
+        keys = [f"user-{i}" for i in range(30)]
+        for key in keys:
+            cluster.handle(RecommendationRequest(key, 1))
+        cluster.scale_to(1)
+        assert cluster.pods["pod-0"].sessions.as_dict() == {key: [1] for key in keys}
+        assert cluster.ring_info()["drained_sessions"] > 0
 
 
 class TestEngineSelection:
@@ -87,6 +184,8 @@ class TestScaling:
         assert list(cluster.pods) == ["pod-0"]
 
     def test_scale_down_loses_sessions_of_removed_pods_only(self, toy_index):
+        """Sessions of the surviving pods stay put (the removed pod's are
+        drained, see ``test_scale_down_drains_sessions_to_their_new_owners``)."""
         cluster = ServingCluster.with_index(toy_index, num_pods=3, m=10, k=10)
         keys = [f"user-{i}" for i in range(30)]
         for key in keys:
@@ -94,11 +193,11 @@ class TestScaling:
         survivors = {
             key
             for key in keys
-            if cluster.router.route(key) in ("pod-0", "pod-1")
+            if cluster.router.primary(key) in ("pod-0", "pod-1")
         }
         cluster.scale_to(2)
         for key in survivors:
-            owner = cluster.router.route(key)
+            owner = cluster.router.primary(key)
             assert cluster.pods[owner].sessions.get_session(key) == [1]
 
     def test_rejects_zero_pods(self, cluster):
@@ -241,7 +340,7 @@ class TestBatchServing:
         import threading
 
         knobs = list(inspect.signature(ServingCluster).parameters)
-        assert len(knobs) == 13
+        assert len(knobs) == 12
         assert not [name for name in knobs if "workers" in name]
         scoring_threads = []
 

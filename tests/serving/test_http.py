@@ -136,7 +136,7 @@ class TestEndpoints:
             post_json(
                 server, "/v1/recommend", {"session_id": "http-u2", "item_id": item}
             )
-        owner = cluster.router.route("http-u2")
+        owner = cluster.router.primary("http-u2")
         assert cluster.pods[owner].sessions.get_session("http-u2") == [1, 2]
 
     def test_bad_json_is_400(self, server):

@@ -50,7 +50,7 @@ class TestConcurrentRequests:
             list(pool.map(call, range(32)))
 
         cluster = server.service.cluster
-        owner = cluster.router.route(session_key)
+        owner = cluster.router.primary(session_key)
         stored = cluster.pods[owner].sessions.get_session(session_key)
         assert stored is not None
         assert len(stored) == 32

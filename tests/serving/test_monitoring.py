@@ -6,7 +6,11 @@ import threading
 
 import pytest
 
+from repro.serving.app import ServingCluster
+from repro.serving.http import SerenadeService
 from repro.serving.monitoring import Counter, Histogram, MetricsRegistry
+from repro.serving.ring import HashRing
+from repro.serving.server import RecommendationRequest
 
 
 class TestCounter:
@@ -119,3 +123,48 @@ class TestRegistry:
         assert "# TYPE c counter" in text
         assert "# TYPE h histogram" in text
         assert text.endswith("\n")
+
+
+class TestRingSeriesOnADefaultCluster:
+    """Every server exports the ring series now, not just ``--replication``
+    ones, so they must move on a default cluster and stay cheap to scrape."""
+
+    def test_failover_counter_and_leader_gauges_move(self, toy_index):
+        cluster = ServingCluster.with_index(toy_index, num_pods=2, m=10, k=10)
+        service = SerenadeService(cluster)
+        key = next(k for k in (f"u{i}" for i in range(100)) if cluster.router.primary(k) == "pod-1")
+        cluster.handle(RecommendationRequest(key, 1))
+        lines = service.render_metrics().splitlines()
+        assert "serenade_ring_failovers_total 0" in lines
+        assert 'serenade_ring_leader_sessions{pod="pod-0"} 0' in lines
+        assert 'serenade_ring_leader_sessions{pod="pod-1"} 1' in lines
+
+        cluster.kill_pod("pod-1")
+        cluster.handle(RecommendationRequest(key, 2))
+        lines = service.render_metrics().splitlines()
+        assert "serenade_ring_failovers_total 1" in lines
+        assert 'serenade_ring_leader_sessions{pod="pod-0"} 1' in lines
+        assert 'serenade_ring_follower_sessions{pod="pod-0"} 0' in lines
+
+    def test_scrape_does_not_hash_every_live_session(self, toy_index, monkeypatch):
+        cluster = ServingCluster.with_index(toy_index, num_pods=2, m=10, k=10)
+        service = SerenadeService(cluster)
+        for i in range(5000):
+            cluster.handle(RecommendationRequest(f"live-{i}", 1 + i % 5))
+        lookups = []
+        original = HashRing.preference_list
+
+        def counting(self, session_key, n):
+            lookups.append(session_key)
+            return original(self, session_key, n)
+
+        monkeypatch.setattr(HashRing, "preference_list", counting)
+        text = service.render_metrics()
+        service.health()
+        leaders = [
+            float(line.rsplit(" ", 1)[1])
+            for line in text.splitlines()
+            if line.startswith("serenade_ring_leader_sessions{")
+        ]
+        assert sum(leaders) == 5000
+        assert len(lookups) <= len(cluster.pods)

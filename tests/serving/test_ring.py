@@ -1,9 +1,9 @@
 """Tests for the consistent-hash ring: invariants, balance, minimal movement.
 
-The ring is the placement substrate of the replicated serving path: the
-router's single-owner lookup and the coordinator's preference lists both
-come from here, so these tests pin the properties everything above
-depends on — determinism, distinct-replica preference lists, bounded
+The ring is the placement substrate of the serving path: sticky routing
+(the leader lookup) and the coordinator's preference lists both come
+from here, so these tests pin the properties everything above depends
+on — stability, determinism, distinct-replica preference lists, bounded
 imbalance, and the minimal-movement bound (the fraction of keys that
 change primary on a membership change is the departing/arriving pod's
 owned fraction of the keyspace, nothing more).
@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serving.ring import DEFAULT_VIRTUAL_NODES, HashRing
-from repro.serving.router import StickySessionRouter
 
 
 def ring_with(pods: list[str], virtual_nodes: int = DEFAULT_VIRTUAL_NODES) -> HashRing:
@@ -54,8 +53,22 @@ class TestMembership:
         with pytest.raises(RuntimeError):
             HashRing().preference_list("key", 1)
 
+    def test_empty_ring_primary_raises(self):
+        with pytest.raises(RuntimeError):
+            HashRing().primary("x")
+
+    def test_custom_virtual_nodes(self):
+        assert ring_with(["a", "b"], virtual_nodes=16).virtual_nodes == 16
+
 
 class TestLookup:
+    def test_primary_is_a_registered_pod(self):
+        assert ring_with(["pod-0", "pod-1"]).primary("session-x") in {"pod-0", "pod-1"}
+
+    def test_stability(self):
+        ring = ring_with(["a", "b", "c"])
+        assert all(ring.primary("key-42") == ring.primary("key-42") for _ in range(10))
+
     def test_primary_is_head_of_preference_list(self):
         ring = ring_with(["a", "b", "c"])
         for i in range(100):
@@ -101,6 +114,16 @@ class TestOwnedFraction:
         ring = ring_with([f"pod-{i}" for i in range(4)])
         for pod in ring.pods:
             assert 0.25 * 0.65 <= ring.owned_fraction(pod) <= 0.25 * 1.35
+
+
+class TestBalance:
+    def test_four_pods_share_keys_roughly_uniformly(self):
+        ring = ring_with([f"pod-{i}" for i in range(4)])
+        counts = dict.fromkeys(ring.pods, 0)
+        for i in range(4000):
+            counts[ring.primary(f"session-{i}")] += 1
+        for pod_count in counts.values():
+            assert 700 <= pod_count <= 1300  # within ~30% of perfect
 
 
 def sampling_epsilon(fraction: float, n: int) -> float:
@@ -168,23 +191,40 @@ class TestMinimalMovement:
                 assert ring.preference_list(key, 2) == before[key]
 
 
-class TestRouterWrapper:
-    """Satellite: StickySessionRouter is a thin wrapper over the ring."""
+class TestMinimalDisruption:
+    """The same property on arbitrary keys, exactly: a key moves only
+    off the removed pod, or only onto the added one."""
 
-    def test_route_matches_ring_primary(self):
-        router = StickySessionRouter(["a", "b", "c"])
-        for i in range(200):
-            key = f"k{i}"
-            assert router.route(key) == router.ring.primary(key)
+    @given(
+        num_pods=st.integers(2, 6),
+        removed=st.integers(0, 5),
+        keys=st.lists(st.text(min_size=1, max_size=10), min_size=1, max_size=60),
+    )
+    @settings(max_examples=40)
+    def test_removal_only_remaps_removed_pods_sessions(
+        self, num_pods, removed, keys
+    ):
+        pods = [f"pod-{i}" for i in range(num_pods)]
+        removed_pod = pods[removed % num_pods]
+        ring = ring_with(pods)
+        before = {key: ring.primary(key) for key in keys}
+        ring.remove_pod(removed_pod)
+        for key in keys:
+            after = ring.primary(key)
+            if before[key] != removed_pod:
+                assert after == before[key]
+            else:
+                assert after != removed_pod
 
-    def test_preference_list_delegates(self):
-        router = StickySessionRouter(["a", "b", "c"])
-        for i in range(50):
-            key = f"k{i}"
-            prefs = router.preference_list(key, 2)
-            assert prefs == router.ring.preference_list(key, 2)
-            assert prefs[0] == router.route(key)
-
-    def test_custom_virtual_nodes(self):
-        router = StickySessionRouter(["a", "b"], virtual_nodes=16)
-        assert router.ring.virtual_nodes == 16
+    @given(
+        num_pods=st.integers(1, 5),
+        keys=st.lists(st.text(min_size=1, max_size=10), min_size=1, max_size=60),
+    )
+    @settings(max_examples=40)
+    def test_addition_only_steals_sessions_for_new_pod(self, num_pods, keys):
+        ring = ring_with([f"pod-{i}" for i in range(num_pods)])
+        before = {key: ring.primary(key) for key in keys}
+        ring.add_pod("pod-new")
+        for key in keys:
+            after = ring.primary(key)
+            assert after == before[key] or after == "pod-new"
