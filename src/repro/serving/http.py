@@ -32,17 +32,27 @@ once, and every later request on it only the read, the work and the
 write. The underlying KV store and metrics registry are thread-safe, so
 concurrent frontend connections behave like the paper's multi-core pods.
 
-* Every response carries ``Content-Length`` and leaves through a buffered
-  writer flushed once per request, so headers and body are one segment.
-  Written separately, the second small write waits in Nagle's algorithm
-  for the client's delayed ACK: 40 ms on a 1 ms request. ``TCP_NODELAY``
-  covers the responses larger than the buffer.
+* The request reader is this module's own (``_Handler._handle_one``), not
+  the stdlib's ``http.server`` handler: ``GET`` or ``POST``, an ASCII path,
+  ``HTTP/1.0`` or ``HTTP/1.1``, header lines of ``token: value`` of which
+  only ``Content-Length``, ``Transfer-Encoding``, ``Connection`` and
+  ``Expect`` are looked at. Everything else is refused with a JSON body
+  and ``Connection: close`` (400, 414, 431, 501, 505) and counted as a
+  bad request; DESIGN.md §8 has the list and the reasons.
+* Every response is one ``bytes`` (status line, ``Server``, ``Date``,
+  ``Content-Type``, ``Content-Length``, body) handed to the socket in one
+  write, so headers and body are one segment. Written separately, the
+  second small write waits in Nagle's algorithm for the client's delayed
+  ACK: 40 ms on a 1 ms request. ``TCP_NODELAY`` covers the responses
+  larger than a segment.
 * :data:`SOCKET_TIMEOUT_S` bounds every read and write, so a client that
   stalls mid-header or mid-body, a half-open peer, or an idle kept-alive
   connection gives its thread back.
 * A body is framed by a validated ``Content-Length`` (400 / 411 / 413) and
-  read in full before routing; whenever it is not consumed the connection
-  closes, because the unread bytes would be parsed as the next request.
+  by nothing else: any ``Transfer-Encoding`` is a 411 and two differing
+  ``Content-Length`` lines a 400. It is read in full before routing;
+  whenever it is not consumed the connection closes, because the unread
+  bytes would be parsed as the next request.
 * :meth:`SerenadeHTTPServer.stop` stops accepting, lets requests in flight
   finish (at most :data:`DRAIN_TIMEOUT_S`), closes idle connections, then
   releases the cluster's pools.
@@ -51,11 +61,15 @@ concurrent frontend connections behave like the paper's multi-core pods.
 from __future__ import annotations
 
 import json
+import re
 import socket
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
+from http.server import ThreadingHTTPServer
+from socketserver import StreamRequestHandler
 from typing import Any
 
 from repro.core.deadline import Clock
@@ -78,6 +92,11 @@ DRAIN_TIMEOUT_S = 3.0
 #: Largest accepted request body: a 10 000-session batch (the limit
 #: ``parse_batch_payload`` enforces) of 50 clicks each at 8 bytes per id.
 MAX_BODY_BYTES = 4 * 1024 * 1024
+#: Longest request line or header line, line end included, and most lines
+#: in a header section, the blank one that ends it included: the stdlib
+#: server's caps, counted as it counts them (414 / 431 past them).
+MAX_LINE_BYTES = 65536
+MAX_HEADER_LINES = 100
 
 _BREAKER_STATE_VALUES = {
     BreakerState.CLOSED: 0.0,
@@ -410,18 +429,32 @@ _POST_ROUTES = {
     "/v1/recommend_batch": "recommend_batch",
 }
 
+_STATUS_LINES = {
+    status: b"HTTP/1.1 %d %s\r\nServer: Serenade/1.0\r\n"
+    % (status, HTTPStatus(status).phrase.encode("ascii"))
+    for status in (200, 400, 404, 411, 413, 414, 429, 431, 501, 505)
+}
+_HTTP_VERSION = re.compile(rb"HTTP/\d+\.\d+")
+#: RFC 7230 ``tchar``: what a header name is made of. No whitespace, so
+#: ``Content-Length : 5`` and a folded continuation line are malformed.
+_TOKEN_BYTES = (
+    b"!#$%&'*+-.^_`|~0123456789"
+    b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+)
 
-class _Handler(BaseHTTPRequestHandler):
-    """Serves one connection: routes its HTTP calls, one after the other,
-    to the :class:`SerenadeService` on the server."""
 
-    server_version = "Serenade/1.0"
-    protocol_version = "HTTP/1.1"
+class _Handler(StreamRequestHandler):
+    """Serves one connection: reads its HTTP calls, one after the other,
+    and routes them to the :class:`SerenadeService` on the server.
+
+    The reader accepts the subset of HTTP/1.x the contract needs (module
+    docstring) and answers everything else with a status and
+    ``Connection: close``; only :attr:`_close` survives from one request
+    to the next.
+    """
+
     timeout = SOCKET_TIMEOUT_S
     disable_nagle_algorithm = True
-    # Buffered, flushed by the stdlib once per request: a /v1/recommend
-    # answer at count=100 (about 5 KB) still leaves in a single write.
-    wbufsize = 16 * 1024
 
     server: "_Server"
 
@@ -429,41 +462,139 @@ class _Handler(BaseHTTPRequestHandler):
     def service(self) -> SerenadeService:
         return self.server.service
 
-    def log_message(self, format: str, *args: object) -> None:  # noqa: A002
-        pass  # keep test output quiet; metrics carry the signal
+    def handle(self) -> None:
+        self._close = False
+        while not self._close:
+            self._handle_one()
+
+    def _handle_one(self) -> None:
+        """Read one request and answer it.
+
+        Returning without an answer means there was no request: the
+        client closed or ``stop()`` shut the read side, possibly part way
+        through a line. A stalled read raises ``TimeoutError``, which
+        ends the connection in :meth:`_Server.handle_error`.
+        """
+        self._close = True  # until a whole request says otherwise
+        readline = self.rfile.readline
+        line = readline(MAX_LINE_BYTES + 1)
+        if len(line) > MAX_LINE_BYTES:
+            self._refuse(414, "request line is too long")
+            return
+        if not line.endswith(b"\n"):
+            return
+        words = line.split()
+        if len(words) != 3:
+            self._refuse(400, "request line must be: method target HTTP-version")
+            return
+        method, target, version = words
+        if version == b"HTTP/1.1":
+            http11 = True
+        elif version == b"HTTP/1.0":
+            http11 = False
+        elif _HTTP_VERSION.fullmatch(version):
+            self._refuse(505, "only HTTP/1.0 and HTTP/1.1 are spoken here")
+            return
+        else:
+            self._refuse(400, "malformed HTTP version")
+            return
+        if method != b"POST" and method != b"GET":
+            self._refuse(501, "only GET and POST are implemented")
+            return
+        if not (target.startswith(b"/") and target.isascii()):
+            self._refuse(400, "request target must be an ASCII path")
+            return
+
+        keep_alive, asks_close = http11, False
+        content_length: bytes | None = None
+        expects_continue = False
+        for _ in range(MAX_HEADER_LINES):
+            line = readline(MAX_LINE_BYTES + 1)
+            if len(line) > MAX_LINE_BYTES:
+                self._refuse(431, "header line is too long")
+                return
+            if line == b"\r\n" or line == b"\n":
+                break
+            if not line.endswith(b"\n"):
+                return
+            name, colon, value = line.partition(b":")
+            if not (colon and name) or name.translate(None, _TOKEN_BYTES):
+                self._refuse(400, "malformed header line")
+                return
+            name = name.lower()
+            if name == b"content-length":
+                # Optional whitespace and the line end, nothing more: what
+                # is left must be digits to every parser on the path.
+                value = value.strip(b" \t\r\n")
+                if content_length is not None and value != content_length:
+                    self._refuse(400, "conflicting Content-Length headers")
+                    return
+                content_length = value
+            elif name == b"transfer-encoding":
+                # Two framings on one request is how a proxy and this
+                # server come to disagree on where the next one starts.
+                self._refuse(411, "Transfer-Encoding is not accepted; send Content-Length")
+                return
+            elif name == b"connection":
+                options = [option.strip() for option in value.lower().split(b",")]
+                if b"close" in options:
+                    asks_close = True
+                elif b"keep-alive" in options:
+                    keep_alive = True
+            elif name == b"expect":
+                expects_continue = http11 and value.strip().lower() == b"100-continue"
+        else:
+            self._refuse(431, f"{MAX_HEADER_LINES} header lines or more")
+            return
+
+        self._close = asks_close or not keep_alive
+        path = target.decode("ascii")
+        if method == b"GET":
+            # A GET has no use for a body here, so one is never read.
+            self._get(path, unread=content_length not in (None, b"0"))
+        else:
+            self._post(path, content_length, expects_continue)
 
     def _send(
         self,
         status: int,
         body: bytes,
-        content_type: str = "application/json",
-        retry_after: str | None = None,
+        content_type: bytes = b"application/json",
+        retry_after: int | None = None,
         close: bool = False,
     ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if retry_after is not None:
-            self.send_header("Retry-After", retry_after)
+        """The whole response in one write: one segment, nothing for
+        Nagle's algorithm to hold back."""
         if close or self.server.draining:
-            self.send_header("Connection", "close")  # also ends the keep-alive loop
-        self.end_headers()
-        self.wfile.write(body)
+            self._close = True
+        self.wfile.write(
+            b"%s%sContent-Type: %s\r\nContent-Length: %d\r\n%s%s\r\n%s"
+            % (
+                _STATUS_LINES[status],
+                self.server.date_header(),
+                content_type,
+                len(body),
+                b"" if retry_after is None else b"Retry-After: %d\r\n" % retry_after,
+                b"Connection: close\r\n" if self._close else b"",
+                body,
+            )
+        )
 
     def _send_json(self, status: int, body: dict, **options: Any) -> None:
         self._send(status, json.dumps(body).encode("utf-8"), **options)
 
-    def _read_body(self) -> bytes | None:
-        """The request body, or ``None`` once the request has been refused.
+    def _refuse(self, status: int, message: str) -> None:
+        """Answer a request that will not be served and end the connection:
+        whatever of it is still on the socket must not become the next one."""
+        self.service.record_bad_request()
+        self._send_json(status, {"error": message}, close=True)
 
-        A refusal leaves the body on the socket, so it closes the
-        connection: the unread bytes must not become the next request.
-        """
-        header = (self.headers.get("Content-Length") or "").strip()
-        if not header:  # includes Transfer-Encoding: chunked
+    def _read_body(self, header: bytes | None, expects_continue: bool) -> bytes | None:
+        """The request body, or ``None`` once the request has been refused."""
+        if not header:
             self._refuse(411, "Content-Length is required")
             return None
-        if not (header.isascii() and header.isdigit()):
+        if not header.isdigit():
             self._refuse(400, "Content-Length must be a non-negative integer")
             return None
         # int() refuses digit strings past 4 300 characters; eighteen
@@ -472,41 +603,34 @@ class _Handler(BaseHTTPRequestHandler):
         if length > MAX_BODY_BYTES:
             self._refuse(413, f"body exceeds {MAX_BODY_BYTES} bytes")
             return None
+        if expects_continue:
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         body = self.rfile.read(length)
         if len(body) < length:
             self._refuse(400, "body is shorter than Content-Length")
             return None
         return body
 
-    def _refuse(self, status: int, message: str) -> None:
-        self.service.record_bad_request()
-        self._send_json(status, {"error": message}, close=True)
-
-    def do_GET(self) -> None:  # noqa: N802 (stdlib API)
-        # A GET has no use for a body here, so one is never read.
-        unread = (
-            self.headers.get("Content-Length", "0").strip() != "0"
-            or "Transfer-Encoding" in self.headers
-        )
-        if self.path == "/healthz":
+    def _get(self, path: str, unread: bool) -> None:
+        if path == "/healthz":
             self._send_json(200, self.service.health(), close=unread)
-        elif self.path == "/metrics":
+        elif path == "/metrics":
             self._send(
                 200,
                 self.service.render_metrics().encode("utf-8"),
-                content_type="text/plain; version=0.0.4",
+                content_type=b"text/plain; version=0.0.4",
                 close=unread,
             )
         else:
-            self._send_json(404, {"error": f"no route {self.path}"}, close=unread)
+            self._send_json(404, {"error": f"no route {path}"}, close=unread)
 
-    def do_POST(self) -> None:  # noqa: N802 (stdlib API)
-        raw = self._read_body()
+    def _post(self, path: str, content_length: bytes | None, expects_continue: bool) -> None:
+        raw = self._read_body(content_length, expects_continue)
         if raw is None:
             return
-        route = _POST_ROUTES.get(self.path)
+        route = _POST_ROUTES.get(path)
         if route is None:
-            self._send_json(404, {"error": f"no route {self.path}"})
+            self._send_json(404, {"error": f"no route {path}"})
             return
         try:
             payload = json.loads(raw.decode("utf-8")) if raw else {}
@@ -524,7 +648,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(
                 429,
                 {"error": "overloaded", "retry_after_ms": error.retry_after_ms},
-                retry_after=str(max(1, round(error.retry_after_ms / 1000))),
+                retry_after=max(1, round(error.retry_after_ms / 1000)),
             )
 
 
@@ -545,9 +669,16 @@ class _Server(ThreadingHTTPServer):
     request_queue_size = 128
     daemon_threads = True
 
-    def __init__(self, address: tuple[str, int], service: SerenadeService) -> None:
+    def __init__(
+        self,
+        address: tuple[str, int],
+        service: SerenadeService,
+        wall_clock: Clock = time.time,
+    ) -> None:
         super().__init__(address, _Handler)
         self.service = service
+        self._wall_clock = wall_clock
+        self._date = (-1, b"")  # (second, that second's Date header line)
         #: set by :meth:`drain`: every response now closes its connection.
         self.draining = False
         self._open: set[socket.socket] = set()
@@ -575,6 +706,18 @@ class _Server(ThreadingHTTPServer):
             super().process_request_thread(request, client_address)
         finally:
             self._forget(request)
+
+    def date_header(self) -> bytes:
+        """The ``Date`` line of a response, formatted once per second.
+
+        Handler threads race on the pair; each writes a correct one.
+        """
+        now = int(self._wall_clock())
+        second, line = self._date
+        if second != now:
+            line = b"Date: %s\r\n" % formatdate(now, usegmt=True).encode("ascii")
+            self._date = (now, line)
+        return line
 
     def _forget(self, request: socket.socket) -> None:
         with self._changed:
@@ -623,9 +766,10 @@ class SerenadeHTTPServer:
         host: str = "127.0.0.1",
         port: int = 0,
         perf_clock: Clock | None = None,
+        wall_clock: Clock = time.time,
     ) -> None:
         self.service = SerenadeService(cluster, perf_clock=perf_clock)
-        self._httpd = _Server((host, port), self.service)
+        self._httpd = _Server((host, port), self.service, wall_clock)
         self._thread: threading.Thread | None = None
 
     @property

@@ -13,6 +13,7 @@ import json
 import re
 import socket
 import statistics
+import struct
 import threading
 import time
 from pathlib import Path
@@ -178,8 +179,10 @@ class TestKeepAlive:
 
 
 class TestTimeouts:
-    def test_stalled_clients_lose_their_threads(self, server, short_timeout):
+    def test_stalled_clients_lose_their_threads(self, server, short_timeout, capsys):
         baseline = thread_baseline()
+        half_line = raw_socket(server)
+        half_line.sendall(b"POST /v1/recomm")
         half_header = raw_socket(server)
         half_header.sendall(b"POST /v1/recommend HTTP/1.1\r\nHost: x\r\nContent-")
         half_body = raw_socket(server)
@@ -187,18 +190,19 @@ class TestTimeouts:
             b"POST /v1/recommend HTTP/1.1\r\nHost: x\r\n"
             b'Content-Length: 100\r\n\r\n{"session_id":'
         )
-        assert wait_for(lambda: threading.active_count() == baseline + 2)
+        assert wait_for(lambda: threading.active_count() == baseline + 3)
         # A well-behaved client is served throughout.
         good = connect(server)
         deadline = time.monotonic() + 2 * SHORT_TIMEOUT_S
         while time.monotonic() < deadline:
             assert recommend(good)[0].status == 200
-        assert closed_by_server(half_header)
-        assert closed_by_server(half_body)
+        stalled = [half_line, half_header, half_body]
+        assert all(closed_by_server(sock) for sock in stalled)
         good.close()
         assert wait_for(lambda: threading.active_count() == baseline)
-        half_header.close()
-        half_body.close()
+        for sock in stalled:
+            sock.close()
+        assert capsys.readouterr().err == ""  # a timeout is not a server fault
 
     def test_idle_connection_is_closed(self, server, short_timeout):
         baseline = thread_baseline()
@@ -326,7 +330,57 @@ class TestFraming:
         sock.close()
 
 
+    def test_a_client_gone_before_the_answer_leaves_no_traceback(self, server, capsys):
+        baseline = thread_baseline()
+        entered, gone = threading.Event(), threading.Event()
+        original = server.service.cluster.handle
+
+        def handle_after_the_client_left(request):
+            entered.set()
+            assert gone.wait(timeout=5)
+            return original(request)
+
+        server.service.cluster.handle = handle_after_the_client_left
+        sock = raw_socket(server)
+        body = json.dumps({"session_id": "gone", "item_id": 1}).encode()
+        sock.sendall(
+            b"POST /v1/recommend HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n"
+            % len(body)
+            + body
+        )
+        assert entered.wait(timeout=5)
+        # Linger 0: close() sends a reset, so the server's write fails.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+        gone.set()
+        assert wait_for(lambda: threading.active_count() == baseline)
+        del server.service.cluster.handle
+        assert capsys.readouterr().err == ""
+        after = connect(server)
+        assert recommend(after)[0].status == 200  # and the server serves on
+        after.close()
+
+
 class TestGracefulStop:
+    def test_stop_wakes_idle_kept_alive_connections(self, toy_index):
+        """Both handlers sit in the request-line read, one on a fresh
+        connection and one after an answer, with 5 s of timeout to go."""
+        baseline = thread_baseline()
+        cluster = ServingCluster.with_index(toy_index, num_pods=1, m=10, k=10)
+        running = SerenadeHTTPServer(cluster, port=0).start()
+        fresh, used = raw_socket(running), raw_socket(running)
+        used.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert read_response(used)[0] == 200
+        assert wait_for(lambda: threading.active_count() == baseline + 3)
+        started = time.monotonic()
+        running.stop()
+        assert time.monotonic() - started < 1.0 < http_module.DRAIN_TIMEOUT_S
+        assert closed_by_server(fresh)
+        assert closed_by_server(used)
+        assert wait_for(lambda: threading.active_count() == baseline)
+        fresh.close()
+        used.close()
+
     def test_stop_delivers_the_in_flight_response(self, toy_index):
         cluster = ServingCluster.with_index(toy_index, num_pods=1, m=10, k=10)
         running = SerenadeHTTPServer(cluster, port=0).start()
