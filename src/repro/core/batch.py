@@ -191,10 +191,34 @@ def _adopt_pickled(recommender: SessionRecommender) -> None:
     _WORKER_RECOMMENDER = recommender
 
 
+def _score_list(
+    recommender: SessionRecommender,
+    sessions: list[list[ItemId]],
+    how_many: int,
+) -> list[list[ScoredItem]]:
+    """One list of sessions through the recommender's own batch method.
+
+    That is where a model fuses work across sessions
+    (``VMISKNNColumnar.recommend_batch``); the loop is only for
+    recommenders registered at runtime that predate the batch API.
+    """
+    batch = getattr(recommender, "recommend_batch", None)
+    if batch is None:
+        return batch_via_loop(recommender, sessions, how_many=how_many)
+    return batch(sessions, how_many=how_many)
+
+
 def _predict_chunk(
     sessions: list[list[ItemId]], how_many: int
 ) -> list[list[ScoredItem]]:
-    return batch_via_loop(_WORKER_RECOMMENDER, sessions, how_many=how_many)
+    assert _WORKER_RECOMMENDER is not None  # adopted by the pool initializer
+    return _score_list(_WORKER_RECOMMENDER, sessions, how_many)
+
+
+# Sessions per deadline check on the inline path: large enough for a
+# model's batch method to fuse work across them, small enough that an
+# expired deadline sheds most of a long call.
+_DEADLINE_SLICE = 16
 
 
 def _shard_candidates(
@@ -454,14 +478,17 @@ class BatchPredictionEngine:
         if self.shard_strategy == "index":
             return self._compute_index_sharded(sessions, how_many, deadline)
         if self.num_workers <= 1 or len(sessions) <= 1:
+            # Without a deadline the whole list is one call. With one it
+            # goes in slices, the deadline read before each: a slice that
+            # has not started by expiry is shed whole.
+            step = len(sessions) if deadline is None else _DEADLINE_SLICE
             out: list[list[ScoredItem] | None] = []
-            for session in sessions:
+            for start in range(0, len(sessions), step):
+                part = sessions[start : start + step]
                 if deadline is not None and deadline.expired:
-                    out.append(None)
-                    continue
-                out.append(
-                    self._recommender.recommend(session, how_many=how_many)
-                )
+                    out.extend([None] * len(part))
+                else:
+                    out.extend(_score_list(self._recommender, part, how_many))
             return out
         pool = self._pool()
         chunks = _chunks(sessions, self.num_workers)
@@ -471,9 +498,7 @@ class BatchPredictionEngine:
             ]
         else:
             futures = [
-                pool.submit(
-                    batch_via_loop, self._recommender, chunk, how_many=how_many
-                )
+                pool.submit(_score_list, self._recommender, chunk, how_many)
                 for chunk in chunks
             ]
         out = []

@@ -26,6 +26,13 @@ heap-per-candidate loop with bulk array operations:
   from a table filled once per distinct position; and one ordered
   ``np.bincount`` accumulates ``(λ · sim) · idf`` per item. No Python
   loop runs over neighbours.
+* **batch scoring** — ``recommend_batch`` searches neighbours per
+  session and then runs the item-scoring step above *once* for many
+  sessions: their neighbours are concatenated session-major, the local
+  window is keyed by ``segment * num_items + row`` so no two sessions
+  share a slot, and the same gather, segmented max, weight table and
+  ordered ``np.bincount`` serve the whole piece. Only the final ranking
+  is per session, on slices.
 
 **Equality contract.** The scorer is *bit-identical* to the heap path —
 same floats, same order, not merely the same ranking. Two build-time
@@ -61,7 +68,10 @@ expression of the same IEEE operations in the same association —
 gathered rows keep neighbour order, so the one ``np.bincount`` applies
 each item's additions in exactly the order the dict accumulator sees
 them. Integer steps (gather, window mapping, segmented max, table
-lookup) carry no rounding at all.
+lookup) carry no rounding at all. The batch form changes none of this:
+a window slot belongs to exactly one session, the gather keeps
+session-major neighbour-rank order, so every accumulator receives the
+additions of its own session only, in the order ``recommend`` makes them.
 
 The d-ary heap path stays as the differential oracle; see
 ``tests/testing/test_columnar_properties.py`` and the corpus sweep in
@@ -71,7 +81,7 @@ The d-ary heap path stays as the differential oracle; see
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -114,6 +124,57 @@ def _as_float_array(values: Any) -> np.ndarray:
     if arr is values:
         arr = arr.copy()
     return arr
+
+
+# ``recommend_batch`` scores a call in pieces: a piece is closed once the
+# neighbours collected for it own this many item rows, which is what every
+# temporary of the fused step is sized by (about ten int64/float64 arrays
+# of that length are live at once). Measured on the serve ledger's
+# ``deep_batch`` (64 sessions, about 31 000 rows per call): at 8 192 rows,
+# about 17 sessions, ``server_rss_mb`` reads +0.4 % of the per-session
+# path's at 1.30x its throughput; 16 384 rows and the whole call in one
+# piece read +1.7 % and +2.8 % (+5.6 % when the change was sized, past
+# that metric's 5 % bound) at a throughput the ledger cannot tell apart.
+# The scorer alone on a 64-session call, as a share of the per-session
+# time: 0.74-0.82 at 2 048 rows, 0.71-0.78 at 4 096, 0.72-0.75 at 8 192,
+# 0.71-0.72 at 16 384, 0.68-0.70 in one piece (EXPERIMENTS.md, PR 22).
+_PIECE_ROWS = 8192
+
+
+class _Segment(NamedTuple):
+    """One session of a piece, after its neighbour search."""
+
+    position: int  # result slot in the call
+    items: Sequence[ItemId]  # the capped evolving session
+    sims: np.ndarray  # neighbour similarities, rank order
+    src_starts: np.ndarray  # each neighbour's offset in the item payload
+    lengths: np.ndarray  # each neighbour's item count
+
+
+def _window_and_inverse(
+    keys: np.ndarray, key_bound: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` for keys in ``[0, key_bound)``.
+
+    ``np.unique`` pays for a stable argsort. Packing each key above its
+    own position and running a plain value sort gives the same order (the
+    position breaks ties, so the sort is stable by construction) at
+    about 0.6 of the time; the distinct keys fall out of an adjacent
+    compare and the inverse out of one cumsum and one scatter. Keys too
+    wide to pack next to a position take ``np.unique`` itself.
+    """
+    total = keys.shape[0]
+    bits = total.bit_length()
+    if key_bound.bit_length() + bits > 62:
+        return np.unique(keys, return_inverse=True)
+    packed = np.sort((keys << bits) | np.arange(total))
+    ordered = packed >> bits
+    first = np.empty(total, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(total, dtype=_INT)
+    inverse[packed & ((1 << bits) - 1)] = first.cumsum() - 1
+    return ordered[first], inverse
 
 
 @frozen_buffers(
@@ -692,3 +753,182 @@ class VMISKNNColumnar(BatchMixin):
                 out_items[ranked].tolist(), out_scores[ranked].tolist()
             )
         ]
+
+    # -- batch scoring: the same item-scoring step, once for many sessions ---
+
+    def recommend_batch(
+        self, sessions: Sequence[Sequence[ItemId]], how_many: int = 21
+    ) -> list[list[ScoredItem]]:
+        """``[recommend(s, how_many) for s in sessions]``, bit for bit.
+
+        Neighbour search stays per session; item scoring runs once per
+        piece of the call (see :data:`_PIECE_ROWS`). The fused step has a
+        fixed cost a lone session does not repay (1.15-1.18x of
+        ``recommend`` at one session, 0.96-0.98x at two, 0.73-0.75x at
+        sixteen), so fewer than two sessions are answered by
+        ``recommend`` itself.
+        """
+        if len(sessions) < 2:
+            return [self.recommend(items, how_many=how_many) for items in sessions]
+        if self.scoring_style not in ("vmis", "vsknn"):
+            raise ValueError(f"unknown scoring style {self.scoring_style!r}")
+        results: list[list[ScoredItem]] = [[] for _ in sessions]
+        index = self.index
+        offsets = None if index is None else index.session_item_offsets
+        piece: list[_Segment] = []
+        rows = 0
+        for position, items in enumerate(sessions):
+            capped = self._capped(items)
+            neighbor_ids, neighbor_sims = self._neighbor_arrays(capped)
+            if neighbor_ids.shape[0] == 0:
+                continue  # empty session or no neighbour: [] as recommend
+            assert offsets is not None  # _neighbor_arrays raised otherwise
+            src_starts = offsets[neighbor_ids]
+            lengths = offsets[neighbor_ids + 1] - src_starts
+            piece.append(
+                _Segment(position, capped, neighbor_sims, src_starts, lengths)
+            )
+            rows += int(lengths.sum())
+            if rows >= _PIECE_ROWS:
+                self._score_piece(piece, how_many, results)
+                piece = []
+                rows = 0
+        if piece:
+            self._score_piece(piece, how_many, results)
+        return results
+
+    def _score_piece(
+        self,
+        piece: list[_Segment],
+        how_many: int,
+        results: list[list[ScoredItem]],
+    ) -> None:
+        """Item scoring of ``recommend`` for every session of ``piece``.
+
+        Each step is the step of ``recommend`` with the session number
+        carried in the key; ``results[position]`` is filled per session.
+        """
+        index = self.index
+        assert index is not None
+        num_items = index.num_items
+        segments = len(piece)
+        neighbor_sims = np.concatenate([entry.sims for entry in piece])
+        src_starts = np.concatenate([entry.src_starts for entry in piece])
+        lengths = np.concatenate([entry.lengths for entry in piece])
+        neighbor_counts = _as_int_array([entry.sims.shape[0] for entry in piece])
+        # Session ``s`` owns the keys ``[key_starts[s], key_starts[s + 1])``.
+        key_starts = np.arange(segments + 1) * num_items
+
+        # One gather for all neighbours of all sessions, session-major and
+        # in neighbour-rank order within a session.
+        dst_ends = lengths.cumsum()
+        total = int(dst_ends[-1])
+        if total == 0:
+            return
+        dst_starts = dst_ends - lengths
+        concat = index.session_item_rows[
+            np.arange(total) + np.repeat(src_starts - dst_starts, lengths)
+        ]
+        # The local window over composite keys: sessions own disjoint,
+        # contiguous key ranges, so they own disjoint, contiguous slots.
+        keys = np.repeat(np.repeat(key_starts[:-1], neighbor_counts), lengths)
+        keys += concat
+        window_keys, local = _window_and_inverse(keys, segments * num_items)
+        window = window_keys.shape[0]
+
+        # Every query's distinct items, keyed into its own range.
+        query_keys: list[int] = []
+        query_positions: list[int] = []
+        item_row = index._item_row
+        for segment, entry in enumerate(piece):
+            base = segment * num_items
+            for item, position in insertion_orders(entry.items).items():
+                row = item_row.get(item)
+                if row is not None:
+                    query_keys.append(base + row)
+                    query_positions.append(position)
+        wanted = _as_int_array(query_keys)
+        slots = np.minimum(window_keys.searchsorted(wanted), window - 1)
+        present = window_keys[slots] == wanted
+        query_slots = slots[present]
+
+        query_order = np.zeros(window, dtype=_INT)
+        query_order[query_slots] = _as_int_array(query_positions)[present]
+        last_shared = np.where(
+            lengths > 0,
+            np.maximum.reduceat(
+                query_order[local], np.minimum(dst_starts, total - 1)
+            ),
+            0,
+        )
+
+        # One match-weight table for the piece: the weight depends on the
+        # shared position alone, so sessions can read the same entries.
+        weight_fn = resolve_match_weight(self.match_weight)
+        longest = max(len(entry.items) for entry in piece)
+        match_table = np.zeros(longest + 1, dtype=_FLOAT)
+        contributes_table = np.zeros(longest + 1, dtype=bool)
+        for shared in sorted(set(last_shared.tolist())):
+            if shared == 0:
+                continue
+            match = weight_fn(shared)
+            match_table[shared] = match
+            contributes_table[shared] = not is_zero_score(match)
+        contributes = contributes_table[last_shared]
+        vsknn = self.scoring_style == "vsknn"
+        # Per neighbour, the scalar recommend multiplies by: elementwise
+        # the same IEEE product.
+        length_factor: np.ndarray | float = (
+            np.repeat(
+                _as_float_array([1.0 / len(entry.items) for entry in piece]),
+                neighbor_counts,
+            )
+            if vsknn
+            else 1.0
+        )
+        bases = np.where(
+            contributes,
+            (match_table[last_shared] * neighbor_sims) * length_factor,
+            0.0,
+        )
+
+        segment_starts = window_keys.searchsorted(key_starts)
+        window_rows = window_keys - np.repeat(
+            key_starts[:-1], np.diff(segment_starts)
+        )
+        idf = index.idf_values[window_rows]
+        if vsknn:
+            idf = idf + 1.0
+        values = np.repeat(bases, lengths) * idf[local]
+        accumulated = np.bincount(local, weights=values, minlength=window)
+        scored = np.zeros(window, dtype=bool)
+        scored[local[np.repeat(contributes, lengths)]] = True
+        if self.exclude_current_items:
+            scored[query_slots] = False
+
+        # Ranking is per session: a lexsort on that session's slice of
+        # the scored slots, then one conversion to python scalars for the
+        # whole piece.
+        kept = np.flatnonzero(scored)
+        out_items = index.item_ids[window_rows[kept]]
+        out_scores = accumulated[kept]
+        negated = -out_scores
+        bounds = kept.searchsorted(segment_starts).tolist()
+        picks: list[np.ndarray] = []
+        for segment in range(segments):
+            low, high = bounds[segment], bounds[segment + 1]
+            ranked = np.lexsort((out_items[low:high], negated[low:high]))
+            picks.append(ranked[:how_many] + low)
+        chosen = np.concatenate(picks)
+        items_out = out_items[chosen].tolist()
+        scores_out = out_scores[chosen].tolist()
+        cursor = 0
+        for entry, ranked in zip(piece, picks):
+            end = cursor + ranked.shape[0]
+            results[entry.position] = [
+                ScoredItem(item, score)
+                for item, score in zip(
+                    items_out[cursor:end], scores_out[cursor:end]
+                )
+            ]
+            cursor = end

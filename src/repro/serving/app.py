@@ -180,6 +180,8 @@ class ServingCluster:
         )
         for pod_number in range(num_pods):
             self._spawn_pod(f"pod-{pod_number}")
+        #: the pods' cap on stored history; handle_batch applies the same.
+        self._session_cap = next(iter(self.pods.values())).sessions.max_items
 
     @property
     def committed_factory(self) -> RecommenderFactory:
@@ -328,9 +330,19 @@ class ServingCluster:
         Unlike :meth:`handle`, this does not touch per-user session state
         or business rules — it is the bulk prediction surface, returning
         one ranked list per input session in order. The batch is scored
-        on the calling (request) thread.
+        on the calling (request) thread. A session is cut to the most
+        recent clicks a pod's :class:`SessionStore` would have kept of
+        it, so both endpoints score the same view of the same history
+        and a request body cannot size the scorer's work.
         """
-        return self.batch_engine().recommend_batch(sessions, how_many=how_many)
+        cap = self._session_cap
+        return self.batch_engine().recommend_batch(
+            [
+                items[-cap:] if len(items) > cap else items
+                for items in sessions
+            ],
+            how_many=how_many,
+        )
 
     def batch_engine(self) -> BatchPredictionEngine:
         """The lazily built cluster-level batch engine.

@@ -204,6 +204,10 @@ class SerenadeService:
         self._batch_sessions = self.metrics.counter(
             "serenade_batch_sessions_total", "Sessions served through batches"
         )
+        self._batch_latency = self.metrics.histogram(
+            "serenade_batch_latency_seconds",
+            "End-to-end latency of one batch call (all its sessions)",
+        )
         # requests_total / connections_total is requests per connection:
         # 1 without keep-alive, the client's reuse with it.
         self._connections = self.metrics.counter(
@@ -327,6 +331,7 @@ class SerenadeService:
         elapsed = self._perf() - started
         self._batch_requests.increment(status="ok")
         self._batch_sessions.increment(amount=len(sessions))
+        self._batch_latency.observe(elapsed)
         cache = self.cluster.batch_engine().cache_info()
         return {
             "results": [

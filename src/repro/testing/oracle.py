@@ -10,7 +10,9 @@ Two comparison strengths, matched to what each implementation promises:
 
 * **bit-exact** (scores and ranks) — ``VSKNN`` (untruncated index,
   ``scoring_style="vmis"``) vs ``VMISKNN`` vs ``VMISKNN.no_opt`` vs
-  :class:`~repro.core.colindex.VMISKNNColumnar` (the vectorized scorer)
+  :class:`~repro.core.colindex.VMISKNNColumnar` (the vectorized scorer,
+  asked per query and, as ``vmis-columnar-batch``, once for the whole
+  query list through its fused ``recommend_batch``)
   vs :class:`~repro.core.batch.BatchPredictionEngine` with both shard
   strategies. These are documented as exactly equivalent, including
   floating-point summation order and all tie-breaking.
@@ -59,6 +61,9 @@ __all__ = [
 ]
 
 REFERENCE = "vsknn"
+
+#: Members that answer a comparison through one ``recommend_batch`` call.
+BATCHED = frozenset({"vmis-columnar-batch"})
 
 
 @dataclass(frozen=True)
@@ -185,6 +190,7 @@ def _core_implementations() -> dict[str, ImplFactory]:
         "vmis": vmis,
         "vmis-no-opt": vmis_no_opt,
         "vmis-columnar": vmis_columnar,
+        "vmis-columnar-batch": vmis_columnar,
         "batch-sessions": batch_sessions,
         "batch-index": batch_index,
     }
@@ -279,6 +285,23 @@ class DifferentialRunner:
         scored = impl.recommend(list(query), how_many=self.how_many)
         return [(s.item_id, s.score) for s in scored]
 
+    def _query_all(
+        self, name: str, impl: Any, queries: Sequence[Sequence[ItemId]]
+    ) -> list[list[tuple[ItemId, float]]]:
+        """Every query's output; one batch call for a ``BATCHED`` member."""
+        if name not in BATCHED:
+            return [self._query(impl, query) for query in queries]
+        batch = [list(query) for query in queries]
+        if len(batch) == 1:
+            # Fewer than two sessions are answered by ``recommend``
+            # itself; a lone query goes twice so the fused path answers.
+            batch = batch * 2
+        ranked = impl.recommend_batch(batch, how_many=self.how_many)
+        return [
+            [(s.item_id, s.score) for s in scored]
+            for scored in ranked[: len(queries)]
+        ]
+
     @staticmethod
     def _close(impl: Any) -> None:
         close = getattr(impl, "close", None)
@@ -334,12 +357,16 @@ class DifferentialRunner:
             )
         for name, factory, rank_only in contenders:
             impl = factory(clicks, params)
-            for query, reference, cut_stable in zip(
-                queries, references, stable
-            ):
-                if rank_only and not cut_stable:
-                    continue
-                output = self._query(impl, query)
+            asked = [
+                position
+                for position, cut_stable in enumerate(stable)
+                if cut_stable or not rank_only
+            ]
+            outputs = self._query_all(
+                name, impl, [queries[position] for position in asked]
+            )
+            for position, output in zip(asked, outputs):
+                query, reference = queries[position], references[position]
                 if rank_only:
                     diverged = [i for i, _ in output] != [
                         i for i, _ in reference
@@ -377,7 +404,11 @@ class DifferentialRunner:
         reference = self._output(
             self.implementations[REFERENCE](list(clicks), case.params), query
         )
-        output = self._output(build(list(clicks), case.params), query)
+        contender = build(list(clicks), case.params)
+        try:
+            [output] = self._query_all(case.impl_b, contender, [query])
+        finally:
+            self._close(contender)
         if case.impl_b in self.engine_implementations:
             if not _in_engine_envelope(clicks, case.params):
                 return False

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
+from repro.core import batch as batch_module
 from repro.core.batch import BatchPredictionEngine, LRUResultCache, shard_index
+from repro.core.colindex import VMISKNNColumnar
+from repro.core.deadline import Deadline
 from repro.core.predictor import SessionRecommender, batch_via_loop
 from repro.core.types import ScoredItem
 from repro.core.vmis import VMISKNN
@@ -19,6 +24,13 @@ def batch_clicks():
 @pytest.fixture(scope="module")
 def batch_model(batch_clicks):
     return VMISKNN.from_clicks(batch_clicks, m=60, k=30, exclude_current_items=True)
+
+
+@pytest.fixture(scope="module")
+def columnar_model(batch_clicks):
+    return VMISKNNColumnar.from_clicks(
+        batch_clicks, m=60, k=30, exclude_current_items=True
+    )
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +313,147 @@ class TestBatchDeadlines:
             # 200 ms of work per chunk against a 10 ms budget: all shed.
             assert results == [[], [], [], []]
             assert engine.deadline_shed == 4
+
+
+class CountingColumnar(VMISKNNColumnar):
+    """Counts the sessions that reach the scorer (one search each)."""
+
+    searched = 0
+
+    def _neighbor_arrays(self, session_items):
+        self.searched += 1
+        return super()._neighbor_arrays(session_items)
+
+
+class TestEngineAroundTheFusedScorer:
+    """What ``BatchPredictionEngine`` promises around ``recommend_batch``."""
+
+    @pytest.fixture()
+    def distinct(self, query_sessions):
+        seen = dict.fromkeys(tuple(q) for q in query_sessions if q)
+        return [list(q) for q in seen][:40]
+
+    def test_deadline_between_slices_sheds_exactly_the_unstarted(
+        self, columnar_model, distinct
+    ):
+        class Clock:
+            now = 0.0
+
+            def __call__(self):
+                return self.now
+
+        clock = Clock()
+        step = batch_module._DEADLINE_SLICE
+        assert len(distinct) == 2 * step + 8
+
+        class Ticking(VMISKNNColumnar):
+            """Every batch call costs 10 ms of the fake clock."""
+
+            def recommend_batch(self, sessions, how_many=21):
+                clock.now += 0.010
+                return super().recommend_batch(sessions, how_many=how_many)
+
+        model = Ticking(columnar_model.index, m=60, k=30, exclude_current_items=True)
+        with BatchPredictionEngine(model, cache_size=256) as engine:
+            # 15 ms: the slices starting at 0 and 10 ms run, the third is shed.
+            results = engine.recommend_batch(
+                distinct, how_many=10, deadline=Deadline(0.015, clock=clock)
+            )
+            finished = 2 * step
+            assert [scored_pairs(r) for r in results[:finished]] == [
+                scored_pairs(columnar_model.recommend(q, how_many=10))
+                for q in distinct[:finished]
+            ]
+            assert results[finished:] == [[]] * 8
+            assert all(columnar_model.recommend(q) for q in distinct[finished:])
+            assert engine.deadline_shed == 8
+            assert engine.cache_info()["size"] == finished  # shed: never cached
+
+    def test_duplicates_and_cache_hits_never_reach_the_scorer(
+        self, columnar_model, distinct
+    ):
+        model = CountingColumnar(
+            columnar_model.index, m=60, k=30, exclude_current_items=True
+        )
+        with BatchPredictionEngine(model, cache_size=256) as engine:
+            batch = distinct[:10] + [list(q) for q in distinct[:5]]
+            engine.recommend_batch(batch, how_many=10)
+            assert model.searched == 10  # five intra-batch duplicates collapsed
+            engine.recommend_batch(distinct[:12], how_many=10)
+            assert model.searched == 12  # ten hits, two new sessions
+
+    def test_recommender_without_a_batch_method_is_looped(self, columnar_model):
+        class Legacy:
+            """Predates the batch API: ``recommend`` only."""
+
+            calls = 0
+
+            def recommend(self, session_items, how_many=21):
+                self.calls += 1
+                return columnar_model.recommend(session_items, how_many=how_many)
+
+        legacy = Legacy()
+        queries = [[1], [2], [3, 4]]
+        for config in (dict(num_workers=0), dict(num_workers=2)):
+            with BatchPredictionEngine(legacy, cache_size=0, **config) as engine:
+                results = engine.recommend_batch(queries, how_many=5)
+            assert [scored_pairs(r) for r in results] == [
+                scored_pairs(columnar_model.recommend(q, how_many=5))
+                for q in queries
+            ]
+        assert legacy.calls == 6
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param(dict(num_workers=3), id="threads"),
+            pytest.param(dict(num_workers=2, use_processes=True), id="processes"),
+        ],
+    )
+    def test_pooled_branches_equal_the_inline_one(
+        self, columnar_model, query_sessions, config
+    ):
+        with BatchPredictionEngine(columnar_model, cache_size=0) as inline:
+            expected = inline.recommend_batch(query_sessions, how_many=10)
+        assert [scored_pairs(r) for r in expected] == [
+            scored_pairs(columnar_model.recommend(q, how_many=10))
+            for q in query_sessions
+        ]
+        with BatchPredictionEngine(columnar_model, cache_size=0, **config) as engine:
+            pooled = engine.recommend_batch(query_sessions, how_many=10)
+        assert [scored_pairs(r) for r in pooled] == [
+            scored_pairs(r) for r in expected
+        ]
+
+    def test_working_set_does_not_grow_with_the_batch(self, batch_clicks):
+        """The fused step is bounded by rows per piece, not by the call:
+        sixteen times the sessions must not cost sixteen times the peak."""
+        model = VMISKNNColumnar.from_clicks(
+            batch_clicks, m=200, k=100, exclude_current_items=True
+        )
+        by_session: dict[int, list[int]] = {}
+        for click in batch_clicks:
+            by_session.setdefault(click.session_id, []).append(click.item_id)
+        queries = [items[:4] for items in by_session.values()][:256]
+        assert len(queries) == 256
+
+        def peak(sessions):
+            tracemalloc.start()
+            try:
+                results = model.recommend_batch(sessions, how_many=21)
+                _, high = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # what the call returns is not working set
+            return high, sum(len(ranked) for ranked in results)
+
+        peak(queries[:16])  # warm numpy's and the interpreter's own caches
+        small, _ = peak(queries[:16])
+        large, answers = peak(queries)
+        assert answers > 16 * 21
+        # 256 sessions hold 16x the result objects; beyond those the peak
+        # stays within a small factor (unbounded, the factor is ~16).
+        assert large < 3 * small + answers * 200
 
 
 class TestMergeCandidateTieBreak:

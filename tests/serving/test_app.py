@@ -334,6 +334,34 @@ class TestBatchServing:
                 (s.item_id, s.score) for s in expected
             ]
 
+    def test_handle_batch_scores_the_view_the_session_store_would_keep(
+        self, toy_index
+    ):
+        """Both endpoints cap an evolving session at the store's
+        ``max_items``: a longer batch session answers as its tail does."""
+        cluster = ServingCluster.with_index(toy_index, num_pods=2, m=10, k=10)
+        [cap] = {server.sessions.max_items for server in cluster.pods.values()}
+        scored_views = []
+        engine = cluster.batch_engine()
+        compute = engine._compute_batch
+
+        def recording(sessions, how_many, deadline=None):
+            scored_views.extend(sessions)
+            return compute(sessions, how_many, deadline)
+
+        engine._compute_batch = recording
+        # Item 1 leads only the over-long session: scoring all cap + 1
+        # items would see it, the store's view of that history does not.
+        over = [1] + [2, 3, 4, 5] * (cap // 4)
+        exact = over[1:]
+        assert len(over) == cap + 1 and len(exact) == cap
+        [ranked_over] = cluster.handle_batch([over], how_many=5)
+        assert scored_views == [exact]
+        engine.cache.clear()
+        [ranked_exact] = cluster.handle_batch([exact], how_many=5)
+        assert scored_views == [exact, exact]  # a cap-long one is untouched
+        assert ranked_over == ranked_exact
+
     def test_handle_batch_runs_on_the_calling_thread(self, toy_index):
         """No pool and no knob for one: the batch is scored inline."""
         import inspect

@@ -207,6 +207,29 @@ class TestEndpoints:
         )
         assert body["cache"]["hits"] >= 2
 
+    def test_batch_call_moves_the_batch_latency_series(self, server):
+        """One call through the front door, one observation on /metrics."""
+
+        def sample(suffix):
+            _, text = get(server, "/metrics")
+            [value] = re.findall(
+                rf"^serenade_batch_latency_seconds_{suffix} (\S+)$",
+                text,
+                flags=re.MULTILINE,
+            )
+            return float(value)
+
+        count, total = sample("count"), sample("sum")
+        status, body = post_json(
+            server, "/v1/recommend_batch", {"sessions": [[1, 2], [2, 3]]}
+        )
+        assert status == 200
+        assert sample("count") == count + 1
+        # _sum is rendered with six significant digits.
+        assert sample("sum") - total == pytest.approx(
+            body["latency_ms"] / 1e3, rel=1e-3
+        )
+
     def test_recommend_batch_bad_payload_is_400(self, server):
         request = urllib.request.Request(
             f"http://127.0.0.1:{server.port}/v1/recommend_batch",

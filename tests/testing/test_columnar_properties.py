@@ -4,7 +4,9 @@ Three layers of evidence, from broad to adversarial:
 
 * Hypothesis properties over tiny collision-heavy logs — every draw
   compares ``find_neighbors`` and ``recommend`` float for float (via
-  ``float.hex``, so a ulp of drift fails loudly).
+  ``float.hex``, so a ulp of drift fails loudly); the fused
+  ``recommend_batch`` is held to ``recommend`` the same way, over drawn
+  *lists* of sessions and piece bounds.
 * The workload-corpus regimes (uniform, skewed, all-tied timestamps,
   bursty, bot-heavy) swept through the differential oracle, which now
   carries ``vmis-columnar`` in its bit-exact family.
@@ -18,13 +20,20 @@ from __future__ import annotations
 
 import zlib
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import colindex
 from repro.core.colindex import ColumnarSessionIndex, VMISKNNColumnar
 from repro.core.index import SessionIndex
+from repro.core.types import Click
 from repro.core.vmis import VMISKNN
+from repro.core.weights import DECAY_FUNCTIONS, MATCH_WEIGHT_FUNCTIONS
+from repro.data.synthetic import generate_clickstream
 from repro.testing.generators import WorkloadConfig, WorkloadGenerator
 from repro.testing.oracle import (
     DifferentialRunner,
@@ -107,6 +116,143 @@ class TestHypothesisBitEquality:
             ColumnarSessionIndex.from_session_index(index), **kwargs
         )
         assert _recommend_bits(columnar, query) == _recommend_bits(heap, query)
+
+
+def _every_other_position(position: int) -> float:
+    """A callable match weight with structural zeros (even positions)."""
+    return 0.0 if position % 2 == 0 else 1.0 / position
+
+
+@st.composite
+def session_batches(draw: st.DrawFn) -> list[list[int]]:
+    """A list of evolving sessions for one ``recommend_batch`` call.
+
+    ``click_logs`` draws items 0..5, so 6, 7 and 10**9 are unknown: a
+    session of those alone has no neighbour. Sessions may be empty, may
+    repeat an item, and the batch may repeat a session.
+    """
+    session = st.lists(
+        st.sampled_from([0, 1, 2, 3, 4, 5, 6, 7, 10**9]), max_size=6
+    )
+    size = draw(st.sampled_from([1, 2, 3, 17]))
+    batch = draw(st.lists(session, min_size=size, max_size=size))
+    for source in draw(st.lists(st.integers(0, size - 1), max_size=2)):
+        batch.append(list(batch[source]))
+    return batch
+
+
+def _batch_bits(ranked_lists):
+    return [
+        [(scored.item_id, scored.score.hex()) for scored in ranked]
+        for ranked in ranked_lists
+    ]
+
+
+class TestRecommendBatchBitEquality:
+    """``recommend_batch(qs)[i] == recommend(qs[i])``, every bit."""
+
+    @given(
+        clicks=click_logs(),
+        batch=session_batches(),
+        m=st.integers(1, 8),
+        k=st.integers(1, 8),
+        decay=st.sampled_from(sorted(DECAY_FUNCTIONS)),
+        match_weight=st.sampled_from(
+            [*sorted(MATCH_WEIGHT_FUNCTIONS), _every_other_position]
+        ),
+        scoring_style=st.sampled_from(["vmis", "vsknn"]),
+        exclude_current_items=st.booleans(),
+        max_session_items=st.sampled_from([None, 1, 3]),
+        # Rows per piece: 1 closes a piece after every session, 9 after a
+        # few, the module's own value keeps these small batches whole.
+        piece_rows=st.sampled_from([1, 9, colindex._PIECE_ROWS]),
+    )
+    def test_recommend_batch_bit_equal(
+        self,
+        clicks,
+        batch,
+        m,
+        k,
+        decay,
+        match_weight,
+        scoring_style,
+        exclude_current_items,
+        max_session_items,
+        piece_rows,
+    ):
+        model = VMISKNNColumnar.from_clicks(
+            clicks,
+            m=m,
+            k=k,
+            decay=decay,
+            match_weight=match_weight,
+            scoring_style=scoring_style,
+            exclude_current_items=exclude_current_items,
+            max_session_items=max_session_items,
+        )
+        expected = [model.recommend(query, how_many=20) for query in batch]
+        with mock.patch.object(colindex, "_PIECE_ROWS", piece_rows):
+            fused = model.recommend_batch(batch, how_many=20)
+        assert _batch_bits(fused) == _batch_bits(expected)
+
+    def test_one_session_past_the_piece_bound(self):
+        """At the module's own bound: a batch that fills one piece exactly
+        and a batch one session longer, which opens a second piece."""
+        clicks = list(
+            generate_clickstream(num_sessions=600, num_items=90, days=5, seed=31)
+        )
+        model = VMISKNNColumnar.from_clicks(
+            clicks, m=80, k=40, exclude_current_items=True
+        )
+        by_session: dict[int, list[int]] = {}
+        for click in clicks:
+            by_session.setdefault(click.session_id, []).append(click.item_id)
+        queries = [items[:3] for items in by_session.values()][:400]
+
+        pieces: list[int] = []
+        score_piece = model._score_piece
+
+        def counting(piece, how_many, results):
+            pieces.append(len(piece))
+            score_piece(piece, how_many, results)
+
+        with mock.patch.object(model, "_score_piece", counting):
+            model.recommend_batch(queries, how_many=20)
+        assert len(pieces) > 1, "the batch must cross the bound"
+        filled = pieces[0]  # every query here has a neighbour
+        for size in (filled, filled + 1):
+            pieces.clear()
+            with mock.patch.object(model, "_score_piece", counting):
+                fused = model.recommend_batch(queries[:size], how_many=20)
+            assert pieces == ([filled] if size == filled else [filled, 1])
+            assert _batch_bits(fused) == _batch_bits(
+                [model.recommend(query, how_many=20) for query in queries[:size]]
+            )
+
+    def test_fewer_than_two_sessions_take_recommend(self):
+        model = VMISKNNColumnar.from_clicks(
+            [Click(1, 10, 1), Click(1, 11, 2)], m=2, k=2
+        )
+        with mock.patch.object(model, "_score_piece") as fused:
+            assert model.recommend_batch([]) == []
+            assert model.recommend_batch([[10]]) == [model.recommend([10])]
+        fused.assert_not_called()
+
+    def test_unknown_scoring_style_raises_as_recommend_does(self):
+        model = VMISKNNColumnar.from_clicks(
+            [Click(1, 10, 1)], m=2, k=2, scoring_style="nope"
+        )
+        with pytest.raises(ValueError, match="unknown scoring style"):
+            model.recommend_batch([[10], [10]])
+
+    def test_window_keys_too_wide_to_pack_take_np_unique(self):
+        """Both branches of the window helper agree with ``np.unique``."""
+        keys = np.array([7, 3, 7, 0, 3, 3, 9], dtype=np.int64)
+        for key_bound in (10, 2**61):
+            distinct, inverse = colindex._window_and_inverse(keys, key_bound)
+            expected = np.unique(keys, return_inverse=True)
+            assert distinct.tolist() == expected[0].tolist()
+            assert inverse.tolist() == expected[1].tolist()
 
 
 class TestRegimeSweep:
