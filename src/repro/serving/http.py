@@ -8,7 +8,8 @@ a session update and receives 21 recommended items. This module exposes a
   ``{"session_id": "abc", "item_id": 42, "consent": true,
   "variant": "serenade-hist", "count": 21}``;
   responds ``{"items": [{"item_id": ..., "score": ...}, ...],
-  "pod": "pod-0", "latency_ms": ...}``.
+  "pod": "pod-0", "latency_ms": ..., "degraded": false,
+  "stage": "primary"}``.
 * ``POST /v1/recommend_batch`` — body
   ``{"sessions": [[42, 7], [13]], "count": 21}``; responds
   ``{"results": [[{"item_id": ..., "score": ...}, ...], ...],
@@ -45,6 +46,16 @@ concurrent frontend connections behave like the paper's multi-core pods.
   second small write waits in Nagle's algorithm for the client's delayed
   ACK: 40 ms on a 1 ms request. ``TCP_NODELAY`` covers the responses
   larger than a segment.
+* The two recommendation answers are written, not serialised:
+  :meth:`SerenadeService.recommend` and ``recommend_batch`` return the
+  response body as ``bytes``, formatted straight from the ranked
+  ``ScoredItem`` list (:func:`_encode_items`) with the digits and the
+  spacing ``json.dumps`` gives the same values, so no ``dict`` per item is
+  built to be walked again. ``json.dumps`` still writes ``/healthz``, the
+  error bodies and the few string fields.
+* A fault inside a route is a 500 with a JSON body, ``Connection: close``,
+  one ``serenade_requests_total{status="error"}`` and one logged traceback
+  (on stderr unless logging is configured otherwise); the server serves on.
 * :data:`SOCKET_TIMEOUT_S` bounds every read and write, so a client that
   stalls mid-header or mid-body, a half-open peer, or an idle kept-alive
   connection gives its thread back.
@@ -61,6 +72,7 @@ concurrent frontend connections behave like the paper's multi-core pods.
 from __future__ import annotations
 
 import json
+import logging
 import re
 import socket
 import sys
@@ -70,14 +82,17 @@ from email.utils import formatdate
 from http import HTTPStatus
 from http.server import ThreadingHTTPServer
 from socketserver import StreamRequestHandler
-from typing import Any
+from typing import Any, Iterable
 
 from repro.core.deadline import Clock
+from repro.core.types import ScoredItem
 from repro.serving.app import ServingCluster
 from repro.serving.monitoring import MetricsRegistry
 from repro.serving.resilience import BreakerState, Overloaded
 from repro.serving.server import RecommendationRequest
 from repro.serving.variants import ServingVariant
+
+logger = logging.getLogger(__name__)
 
 #: Socket timeout of a connection, for reads and writes alike: how long a
 #: stalled or idle client may hold its thread.
@@ -179,8 +194,39 @@ def parse_batch_payload(payload: dict) -> tuple[list[list[int]], int]:
     return sessions, count
 
 
+_float_repr = float.__repr__
+
+
+def _encode_items(ranked: Iterable[ScoredItem]) -> str:
+    """One ranked list as ``json.dumps`` writes it, character for character.
+
+    ``json.dumps`` formats a float with ``float.__repr__`` (also one of a
+    float subclass such as ``numpy.float64``, whose own ``repr`` differs)
+    and an int in decimal. The digits of a score are what bit-identity
+    to the oracle is checked on, so they stay ``repr``'s.
+    """
+    text = ", ".join(
+        [
+            f'{{"item_id": {scored.item_id}, "score": {_float_repr(scored.score)}}}'
+            for scored in ranked
+        ]
+    )
+    # Only ``nan``, ``inf`` and ``-inf`` put an "n" into this text; JSON
+    # as ``json.dumps`` writes it spells them differently.
+    if "n" in text:
+        text = (
+            text.replace(": nan", ": NaN")
+            .replace(": inf", ": Infinity")
+            .replace(": -inf", ": -Infinity")
+        )
+    return "[" + text + "]"
+
+
 class SerenadeService:
     """The application object behind the HTTP handler (testable directly).
+
+    :meth:`recommend` and :meth:`recommend_batch` return the response body,
+    encoded: the bytes ``json.dumps`` would give for the same answer.
 
     ``perf_clock`` is the latency clock seam: tests drive it with a
     ``VirtualClock`` so reported ``latency_ms`` is deterministic.
@@ -299,7 +345,7 @@ class SerenadeService:
             "Leader deaths that moved a key to its next live pod",
         )
 
-    def recommend(self, payload: dict) -> dict:
+    def recommend(self, payload: dict) -> bytes:
         """Handle one /v1/recommend call; raises BadRequest on bad input
         and Overloaded (HTTP 429) when admission control sheds the call."""
         request = parse_recommend_payload(payload)
@@ -312,18 +358,18 @@ class SerenadeService:
         elapsed = self._perf() - started
         self._requests.increment(status="ok")
         self._latency.observe(elapsed)
-        return {
-            "items": [
-                {"item_id": scored.item_id, "score": scored.score}
-                for scored in response.items
-            ],
-            "pod": response.served_by,
-            "latency_ms": elapsed * 1e3,
-            "degraded": response.degraded,
-            "stage": response.served_stage,
-        }
+        return (
+            '{"items": %s, "pod": %s, "latency_ms": %s, "degraded": %s, "stage": %s}'
+            % (
+                _encode_items(response.items),
+                json.dumps(response.served_by),
+                _float_repr(elapsed * 1e3),
+                "true" if response.degraded else "false",
+                json.dumps(response.served_stage),
+            )
+        ).encode("ascii")
 
-    def recommend_batch(self, payload: dict) -> dict:
+    def recommend_batch(self, payload: dict) -> bytes:
         """Handle one /v1/recommend_batch call via the cluster batch engine."""
         sessions, count = parse_batch_payload(payload)
         started = self._perf()
@@ -333,20 +379,20 @@ class SerenadeService:
         self._batch_sessions.increment(amount=len(sessions))
         self._batch_latency.observe(elapsed)
         cache = self.cluster.batch_engine().cache_info()
-        return {
-            "results": [
-                [
-                    {"item_id": scored.item_id, "score": scored.score}
-                    for scored in ranked
-                ]
-                for ranked in results
-            ],
-            "latency_ms": elapsed * 1e3,
-            "cache": {"hits": cache["hits"], "hit_rate": cache["hit_rate"]},
-        }
+        return (
+            '{"results": [%s], "latency_ms": %s, "cache": %s}'
+            % (
+                ", ".join([_encode_items(ranked) for ranked in results]),
+                _float_repr(elapsed * 1e3),
+                json.dumps({"hits": cache["hits"], "hit_rate": cache["hit_rate"]}),
+            )
+        ).encode("ascii")
 
     def record_bad_request(self) -> None:
         self._requests.increment(status="bad_request")
+
+    def record_error(self) -> None:
+        self._requests.increment(status="error")
 
     def record_connections(self, open_now: int, accepted: bool = False) -> None:
         """A connection was accepted or closed; ``open_now`` are left."""
@@ -437,7 +483,7 @@ _POST_ROUTES = {
 _STATUS_LINES = {
     status: b"HTTP/1.1 %d %s\r\nServer: Serenade/1.0\r\n"
     % (status, HTTPStatus(status).phrase.encode("ascii"))
-    for status in (200, 400, 404, 411, 413, 414, 429, 431, 501, 505)
+    for status in (200, 400, 404, 411, 413, 414, 429, 431, 500, 501, 505)
 }
 _HTTP_VERSION = re.compile(rb"HTTP/\d+\.\d+")
 #: RFC 7230 ``tchar``: what a header name is made of. No whitespace, so
@@ -645,7 +691,7 @@ class _Handler(StreamRequestHandler):
             return
         try:
             # Looked up per call: a tracer may rebind the service's methods.
-            self._send_json(200, getattr(self.service, route)(payload))
+            body = getattr(self.service, route)(payload)
         except BadRequest as error:
             self.service.record_bad_request()
             self._send_json(400, {"error": str(error)})
@@ -655,6 +701,15 @@ class _Handler(StreamRequestHandler):
                 {"error": "overloaded", "retry_after_ms": error.retry_after_ms},
                 retry_after=max(1, round(error.retry_after_ms / 1000)),
             )
+        except Exception:
+            # A fault in the route, not in the request: the client gets an
+            # answer, the operator the traceback, and the connection goes,
+            # since nothing says what state the fault left behind it.
+            self.service.record_error()
+            logger.exception("unhandled error in POST %s", path)
+            self._send_json(500, {"error": "internal server error"}, close=True)
+        else:
+            self._send(200, body)
 
 
 def _shutdown_socket(connection: socket.socket, how: int) -> None:

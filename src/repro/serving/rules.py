@@ -3,7 +3,8 @@
 "We additionally apply business rules to the recommendations to remove
 unavailable products and to filter for adult products." Rules run after
 VMIS-kNN scoring; because filtering can shrink the list below the 21 items
-the frontend needs, callers over-fetch and the rule engine truncates last.
+the frontend needs, callers over-fetch while there is a rule to filter by
+and the rule engine truncates last.
 """
 
 from __future__ import annotations
@@ -57,7 +58,12 @@ class BusinessRules:
         session_items: Sequence[ItemId],
         how_many: int,
     ) -> list[ScoredItem]:
-        """Filter by every rule, preserving order, then truncate."""
+        """Filter by every rule, preserving order, then truncate.
+
+        Always a new list: ``recommendations`` may be a result-cache entry.
+        """
+        if not self._rules:
+            return list(recommendations[:how_many])
         kept = [
             candidate
             for candidate in recommendations

@@ -27,7 +27,7 @@ from repro.serving.variants import ServingVariant, session_view
 SleepFn = Callable[[float], None]
 
 FRONTEND_SLOT_SIZE = 21  # items required by the product-detail-page UI
-OVERFETCH_FACTOR = 2  # fetch extra so business rules can drop some
+OVERFETCH_FACTOR = 2  # fetch extra so business rules, when there are any, can drop some
 SERVICE_TIME_WINDOW = 10_000  # service times a pod keeps for percentiles
 
 
@@ -99,7 +99,9 @@ class RecommendationServer:
     ) -> None:
         self.pod_id = pod_id
         self.recommender = recommender
-        self.rules = rules or BusinessRules()
+        # ``is None``, not ``or``: an empty rule set is falsy, and the
+        # caller may add to the one it passed.
+        self.rules = rules if rules is not None else BusinessRules()
         self.sessions = SessionStore(
             ttl_seconds=session_ttl,
             clock=clock,
@@ -175,16 +177,16 @@ class RecommendationServer:
         started = perf()
         if self.injected_stall_seconds > 0.0:
             self._stall_sleep(self.injected_stall_seconds)
+        # Read per request: rules can be added to a live pod. Every stage
+        # ranks deterministically, so with nothing to drop its top n are
+        # the first n of its top 2n.
+        fetch = how_many * OVERFETCH_FACTOR if len(self.rules) > 0 else how_many
         if isinstance(self.recommender, ResilientRecommender):
             raw = self.recommender.recommend(
-                visible,
-                how_many=how_many * OVERFETCH_FACTOR,
-                deadline=deadline,
+                visible, how_many=fetch, deadline=deadline
             )
         else:
-            raw = self.recommender.recommend(
-                visible, how_many=how_many * OVERFETCH_FACTOR
-            )
+            raw = self.recommender.recommend(visible, how_many=fetch)
         final = self.rules.apply(raw, visible, how_many)
         self.stats.predict_seconds += perf() - started
         # When the resilience layer wraps the recommender, annotate the

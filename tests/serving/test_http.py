@@ -323,8 +323,8 @@ class TestServiceDirect:
 
         assert series("serenade_batch_requests_total") == 0.0
         assert series("serenade_batch_sessions_total") == 0.0
-        answer = service.recommend_batch(
-            {"sessions": [[1, 2], [2], [4, 5]], "count": 5}
+        answer = json.loads(
+            service.recommend_batch({"sessions": [[1, 2], [2], [4, 5]], "count": 5})
         )
         assert len(answer["results"]) == 3
         assert series("serenade_batch_requests_total") == 1.0

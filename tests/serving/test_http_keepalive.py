@@ -177,6 +177,38 @@ class TestKeepAlive:
         assert conn.sock is first_socket
         conn.close()
 
+    @pytest.mark.parametrize(
+        "path, method", [("/v1/recommend", "handle"), ("/v1/recommend_batch", "handle_batch")]
+    )
+    def test_a_fault_in_a_route_is_answered_500_and_counted(
+        self, server, capsys, caplog, path, method
+    ):
+        def broken(*args, **kwargs):
+            raise RuntimeError("index replica went missing")
+
+        setattr(server.service.cluster, method, broken)
+        conn = connect(server)
+        payload = {"session_id": "boom", "item_id": 1, "sessions": [[1]]}
+        conn.request("POST", path, body=json.dumps(payload))
+        response = conn.getresponse()
+        body = json.loads(response.read())
+        delattr(server.service.cluster, method)
+        assert response.status == 500
+        assert response.headers["Content-Type"] == "application/json"
+        assert response.headers["Connection"] == "close"
+        assert body == {"error": "internal server error"}
+        conn.close()
+        scraper = connect(server)
+        assert metric(scraper, 'serenade_requests_total{status="error"}') == 1.0
+        assert recommend(scraper)[0].status == 200  # and the server serves on
+        scraper.close()
+        # The operator still gets the traceback, once: logged here, and not
+        # printed again by socketserver on the way out.
+        [record] = [r for r in caplog.records if r.name == "repro.serving.http"]
+        assert record.exc_info is not None and record.exc_info[0] is RuntimeError
+        assert path in record.getMessage()
+        assert capsys.readouterr().err == ""
+
 
 class TestTimeouts:
     def test_stalled_clients_lose_their_threads(self, server, short_timeout, capsys):

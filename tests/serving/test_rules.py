@@ -36,6 +36,19 @@ class TestBusinessRules:
         rules = BusinessRules()
         assert rules.apply(scored(1, 2, 3), [], how_many=2) == scored(1, 2, 3)[:2]
 
+    def test_empty_ruleset_returns_a_new_list(self):
+        """The caller's list may be a result-cache entry: never hand it on."""
+        rules = BusinessRules()
+        for raw in (scored(1, 2, 3), scored(1), []):
+            for how_many in (0, 1, len(raw), len(raw) + 5):
+                result = rules.apply(raw, [], how_many)
+                assert result == raw[:how_many]
+                assert result is not raw
+                assert isinstance(result, list)
+        as_tuple = tuple(scored(4, 5))
+        assert rules.apply(as_tuple, [], 5) == list(as_tuple)
+        assert isinstance(rules.apply(as_tuple, [], 5), list)
+
     def test_conjunction_of_rules(self):
         rules = BusinessRules(
             [exclude_unavailable({1}), exclude_adult({2}), exclude_seen_in_session]

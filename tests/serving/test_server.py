@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.colindex import ColumnarSessionIndex, VMISKNNColumnar
 from repro.core.vmis import VMISKNN
+from repro.serving.app import ServingCluster
+from repro.serving.resilience import StaticRecommender, popularity_from_index
 from repro.serving.rules import BusinessRules, exclude_unavailable
 from repro.serving.server import (
     FRONTEND_SLOT_SIZE,
+    OVERFETCH_FACTOR,
     RecommendationRequest,
     RecommendationServer,
 )
@@ -54,8 +58,6 @@ class TestRequestHandling:
         assert server.stats.busy_seconds > 0
 
     def test_service_times_are_a_window_not_a_log(self, toy_index, monkeypatch):
-        from repro.serving.app import ServingCluster
-
         monkeypatch.setattr("repro.serving.server.SERVICE_TIME_WINDOW", 5)
         cluster = ServingCluster.with_index(toy_index, num_pods=1, m=10, k=10)
         for n in range(12):
@@ -104,3 +106,88 @@ class TestBusinessRulesIntegration:
         replacement = VMISKNN(toy_index, m=5, k=5)
         server.replace_recommender(replacement)
         assert server.recommender is replacement
+
+
+class _Spy:
+    """Records the ``how_many`` of every call it forwards."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.asked: list[int] = []
+
+    def recommend(self, session_items, how_many=21):
+        self.asked.append(how_many)
+        return self.inner.recommend(session_items, how_many=how_many)
+
+
+class TestFetchPolicy:
+    """Overfetch exists so that rules can drop items; with no rule there
+    is nothing to drop, and the recommender is asked for what is served."""
+
+    def test_no_rule_asks_for_exactly_how_many(self, toy_index):
+        spy = _Spy(VMISKNN(toy_index, m=10, k=10))
+        server = RecommendationServer("pod", spy)
+        server.handle(RecommendationRequest("u", 1, how_many=3))
+        assert spy.asked == [3]
+
+    def test_one_rule_asks_for_the_overfetch(self, toy_index):
+        spy = _Spy(VMISKNN(toy_index, m=10, k=10))
+        server = RecommendationServer(
+            "pod", spy, rules=BusinessRules([exclude_unavailable({99})])
+        )
+        server.handle(RecommendationRequest("u", 1, how_many=3))
+        assert spy.asked == [3 * OVERFETCH_FACTOR]
+
+    def test_rule_count_is_read_per_request(self, toy_index):
+        spy = _Spy(VMISKNN(toy_index, m=10, k=10))
+        rules = BusinessRules()
+        server = RecommendationServer("pod", spy, rules=rules)
+        server.handle(RecommendationRequest("u", 1, how_many=3))
+        rules.add(exclude_unavailable({99}))
+        server.handle(RecommendationRequest("u", 2, how_many=3))
+        assert spy.asked == [3, 3 * OVERFETCH_FACTOR]
+
+    def test_callers_empty_rule_set_is_kept(self, toy_index):
+        """An empty ``BusinessRules`` is falsy (it has ``__len__``); the
+        pods must still share the caller's object, so that a rule added
+        after construction runs."""
+        rules = BusinessRules()
+        cluster = ServingCluster.with_index(
+            toy_index, num_pods=2, m=10, k=10, rules=rules
+        )
+        try:
+            before = cluster.handle(RecommendationRequest("a", 1, consent=False))
+            served = [scored.item_id for scored in before.items]
+            assert len(served) >= 2, "need something to block"
+            rules.add(exclude_unavailable(served[:2]))
+            assert all(pod.rules is rules for pod in cluster.pods.values())
+            after = cluster.handle(RecommendationRequest("b", 1, consent=False))
+            assert [scored.item_id for scored in after.items] == served[2:]
+        finally:
+            cluster.close()
+
+    @pytest.mark.parametrize("how_many", [1, 2, 3, 21])
+    def test_no_rule_answer_is_the_prefix_of_the_overfetched_one(
+        self, toy_index, how_many
+    ):
+        """Why fetching less is the same answer: every stage ranks
+        deterministically, so its top n are a prefix of its top 2n."""
+        popularity = popularity_from_index(toy_index)
+        stages = [
+            VMISKNN(toy_index, m=10, k=10, exclude_current_items=True),
+            VMISKNNColumnar(
+                ColumnarSessionIndex.from_session_index(toy_index),
+                m=10,
+                k=10,
+                exclude_current_items=True,
+            ),
+            popularity,
+            StaticRecommender(popularity.recommend([], how_many=50)),
+        ]
+        for stage in stages:
+            for view in ([1], [2, 4], [5, 1, 2], []):
+                exact = stage.recommend(view, how_many=how_many)
+                overfetched = stage.recommend(
+                    view, how_many=how_many * OVERFETCH_FACTOR
+                )
+                assert exact == overfetched[:how_many], (type(stage).__name__, view)
