@@ -28,32 +28,10 @@ HTTP serving component:
 from __future__ import annotations
 
 import argparse
-import inspect
 import signal
 import sys
 import time
-from typing import Sequence
-
-from repro.core.batch import BatchPredictionEngine
-from repro.core.colindex import ColumnarSessionIndex, VMISKNNColumnar
-from repro.core.vmis import VMISKNN
-from repro.data.clicklog import ClickLog
-from repro.data.datasets import dataset_names, load_dataset
-from repro.data.split import temporal_split
-from repro.data.stats import dataset_statistics, format_table
-from repro.data.synthetic import generate_clickstream
-from repro.eval.evaluator import evaluate_next_item, evaluate_next_item_batched
-from repro.eval.gridsearch import grid_search
-from repro.experiments.registry import (
-    DEFAULT_MODEL,
-    RecommenderConfig,
-    build_recommender,
-    recommender_class,
-    registered_models,
-)
-from repro.index.builder import IndexBuilder
-from repro.index.parallel import build_index_parallel
-from repro.index.serialization import load_index, save_index
+from typing import Callable, Iterable, Sequence
 
 
 def _int_list(text: str) -> list[int]:
@@ -68,61 +46,58 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Serenade (SIGMOD 2022) reproduction toolkit",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
+# -- arguments, one function per verb ----------------------------------------
+#
+# A verb's arguments and its command import what that verb needs, inside the
+# function: ``python -m repro serve`` builds only the ``serve`` sub-parser
+# and so loads the serving stack and nothing else (tests/cli/test_imports.py).
 
-    generate = commands.add_parser(
-        "generate", help="generate a synthetic clickstream as TSV"
-    )
-    generate.add_argument(
+def _generate_arguments(parser: argparse.ArgumentParser) -> None:
+    from repro.data.datasets import dataset_names
+
+    parser.add_argument(
         "--profile",
         choices=dataset_names(),
         default=None,
         help="Table 1 dataset profile (default: generic generator)",
     )
-    generate.add_argument("--scale", type=float, default=0.01)
-    generate.add_argument("--sessions", type=int, default=5_000)
-    generate.add_argument("--items", type=int, default=1_000)
-    generate.add_argument("--days", type=int, default=10)
-    generate.add_argument("--seed", type=int, default=42)
-    generate.add_argument("--out", required=True, help="output TSV path")
+    parser.add_argument("--scale", type=float, default=0.01)
+    parser.add_argument("--sessions", type=int, default=5_000)
+    parser.add_argument("--items", type=int, default=1_000)
+    parser.add_argument("--days", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--out", required=True, help="output TSV path")
 
-    stats = commands.add_parser("stats", help="Table 1 statistics of a TSV log")
-    stats.add_argument("clicks", help="click log TSV")
 
-    sessionize_cmd = commands.add_parser(
-        "sessionize",
-        help="cut a raw user-event TSV (user_id, item_id, timestamp) "
-        "into sessions by inactivity gap",
-    )
-    sessionize_cmd.add_argument("events", help="user event TSV")
-    sessionize_cmd.add_argument(
+def _stats_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("clicks", help="click log TSV")
+
+
+def _sessionize_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("events", help="user event TSV")
+    parser.add_argument(
         "--gap", type=int, default=1800, help="inactivity gap in seconds"
     )
-    sessionize_cmd.add_argument("--max-length", type=int, default=None)
-    sessionize_cmd.add_argument("--out", required=True, help="click log TSV")
+    parser.add_argument("--max-length", type=int, default=None)
+    parser.add_argument("--out", required=True, help="click log TSV")
 
-    build = commands.add_parser("build-index", help="run the offline index build")
-    build.add_argument("clicks", help="click log TSV")
-    build.add_argument("--m", type=int, default=500, help="postings per item")
-    build.add_argument("--workers", type=int, default=1)
-    build.add_argument("--out", required=True, help="index artifact path")
 
-    recommend = commands.add_parser(
-        "recommend", help="next-item recommendations from an index artifact"
-    )
-    recommend.add_argument("index", help="index artifact (.vmis)")
-    recommend.add_argument(
+def _build_index_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("clicks", help="click log TSV")
+    parser.add_argument("--m", type=int, default=500, help="postings per item")
+    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--out", required=True, help="index artifact path")
+
+
+def _recommend_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("index", help="index artifact (.vmis)")
+    parser.add_argument(
         "--session", type=_int_list, required=True, help="comma-separated item ids"
     )
-    recommend.add_argument("--m", type=int, default=500)
-    recommend.add_argument("--k", type=int, default=100)
-    recommend.add_argument("--count", type=int, default=21)
-    recommend.add_argument(
+    parser.add_argument("--m", type=int, default=500)
+    parser.add_argument("--k", type=int, default=100)
+    parser.add_argument("--count", type=int, default=21)
+    parser.add_argument(
         "--engine",
         choices=("columnar", "heap"),
         default="columnar",
@@ -130,62 +105,59 @@ def build_parser() -> argparse.ArgumentParser:
         "differential oracle",
     )
 
-    evaluate = commands.add_parser(
-        "evaluate", help="next-item evaluation with a held-out last day"
-    )
-    evaluate.add_argument("clicks", help="click log TSV")
-    evaluate.add_argument(
+
+def _evaluate_arguments(parser: argparse.ArgumentParser) -> None:
+    from repro.experiments.registry import DEFAULT_MODEL, registered_models
+
+    parser.add_argument("clicks", help="click log TSV")
+    parser.add_argument(
         "--model",
         default=DEFAULT_MODEL,
         help=f"registered recommender ({', '.join(registered_models())})",
     )
-    evaluate.add_argument("--m", type=int, default=500)
-    evaluate.add_argument("--k", type=int, default=100)
-    evaluate.add_argument("--cutoff", type=int, default=20)
-    evaluate.add_argument("--test-days", type=float, default=1.0)
-    evaluate.add_argument("--max-predictions", type=int, default=None)
-    evaluate.add_argument(
+    parser.add_argument("--m", type=int, default=500)
+    parser.add_argument("--k", type=int, default=100)
+    parser.add_argument("--cutoff", type=int, default=20)
+    parser.add_argument("--test-days", type=float, default=1.0)
+    parser.add_argument("--max-predictions", type=int, default=None)
+    parser.add_argument(
         "--batch-size",
         type=int,
         default=0,
         help="replay through recommend_batch in chunks (0 = serial)",
     )
-    evaluate.add_argument(
+    parser.add_argument(
         "--workers",
         type=int,
         default=0,
         help="batch engine worker threads (0 = inline)",
     )
-    evaluate.add_argument(
+    parser.add_argument(
         "--cache-size",
         type=int,
         default=4096,
         help="batch engine LRU result cache entries (0 = off)",
     )
 
-    grid = commands.add_parser(
-        "grid-search", help="(k, m) hyperparameter sweep (Figure 2)"
-    )
-    grid.add_argument("clicks", help="click log TSV")
-    grid.add_argument("--ks", type=_int_list, default=[50, 100, 500])
-    grid.add_argument("--ms", type=_int_list, default=[100, 500, 1000])
-    grid.add_argument("--metric", default="mrr")
-    grid.add_argument("--cutoff", type=int, default=20)
-    grid.add_argument("--max-predictions", type=int, default=500)
 
-    experiment = commands.add_parser(
-        "experiment", help="run a declarative experiment config (JSON)"
-    )
-    experiment.add_argument("config", help="experiment config JSON path")
-    experiment.add_argument(
+def _grid_search_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("clicks", help="click log TSV")
+    parser.add_argument("--ks", type=_int_list, default=[50, 100, 500])
+    parser.add_argument("--ms", type=_int_list, default=[100, 500, 1000])
+    parser.add_argument("--metric", default="mrr")
+    parser.add_argument("--cutoff", type=int, default=20)
+    parser.add_argument("--max-predictions", type=int, default=500)
+
+
+def _experiment_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("config", help="experiment config JSON path")
+    parser.add_argument(
         "--out", default=None, help="optional JSON results output path"
     )
 
-    index_cmd = commands.add_parser(
-        "index",
-        help="hardened daily index lifecycle against a versioned registry",
-    )
-    index_sub = index_cmd.add_subparsers(dest="index_command", required=True)
+
+def _index_arguments(parser: argparse.ArgumentParser) -> None:
+    index_sub = parser.add_subparsers(dest="index_command", required=True)
 
     index_build = index_sub.add_parser(
         "build", help="validate a click log, build and register a candidate"
@@ -258,11 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--registry", required=True, help="index registry directory"
     )
 
-    bench_cmd = commands.add_parser(
-        "bench",
-        help="structured benchmark trajectory and regression gate",
-    )
-    bench_sub = bench_cmd.add_subparsers(dest="bench_command", required=True)
+
+def _bench_arguments(parser: argparse.ArgumentParser) -> None:
+    bench_sub = parser.add_subparsers(dest="bench_command", required=True)
 
     bench_run = bench_sub.add_parser(
         "run", help="run gate arms and write BENCH_<arm>.json records"
@@ -327,11 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--baseline", default=".", help="baseline directory to inspect"
     )
 
-    stream_cmd = commands.add_parser(
-        "stream",
-        help="fault-tolerant streaming click ingestion (event-bus lifecycle)",
-    )
-    stream_sub = stream_cmd.add_subparsers(dest="stream_command", required=True)
+
+def _stream_arguments(parser: argparse.ArgumentParser) -> None:
+    stream_sub = parser.add_subparsers(dest="stream_command", required=True)
 
     stream_produce = stream_sub.add_parser(
         "produce",
@@ -401,49 +369,50 @@ def build_parser() -> argparse.ArgumentParser:
         help="consumer-group id to report committed offsets/lag for",
     )
 
-    serve = commands.add_parser("serve", help="start the HTTP serving component")
-    serve.add_argument("index", help="index artifact (.vmis)")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8080)
-    serve.add_argument("--pods", type=int, default=2)
-    serve.add_argument("--m", type=int, default=500)
-    serve.add_argument("--k", type=int, default=100)
-    serve.add_argument(
+
+def _serve_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("index", help="index artifact (.vmis)")
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=8080)
+    parser.add_argument("--pods", type=int, default=2)
+    parser.add_argument("--m", type=int, default=500)
+    parser.add_argument("--k", type=int, default=100)
+    parser.add_argument(
         "--engine",
         choices=("columnar", "heap"),
         default="columnar",
         help="pod scorer: vectorized columnar (default) or the "
         "per-item-heap differential oracle",
     )
-    serve.add_argument(
+    parser.add_argument(
         "--cache-size",
         type=int,
         default=1024,
         help="per-pod LRU result cache entries (0 = off)",
     )
-    serve.add_argument(
+    parser.add_argument(
         "--sla-ms",
         type=float,
         default=50.0,
         help="per-request deadline budget in milliseconds",
     )
-    serve.add_argument(
+    parser.add_argument(
         "--max-inflight",
         type=int,
         default=256,
         help="admission-control capacity before oldest-first shedding (429)",
     )
-    serve.add_argument(
+    parser.add_argument(
         "--wal-dir",
         default=None,
         help="directory for per-pod session WALs (enables crash recovery)",
     )
-    serve.add_argument(
+    parser.add_argument(
         "--no-guardrails",
         action="store_true",
         help="serve the raw path: no deadlines, fallbacks, breakers or shedding",
     )
-    serve.add_argument(
+    parser.add_argument(
         "--replication",
         type=int,
         default=0,
@@ -451,13 +420,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="copies of every session on the shard ring (1 leader + R-1 "
         "followers); 0 and 1 both mean single-copy sticky routing",
     )
-    serve.add_argument(
+    parser.add_argument(
         "--vnodes",
         type=int,
         default=128,
         help="virtual nodes per pod on the consistent-hash ring",
     )
-    serve.add_argument(
+    parser.add_argument(
         "--hedge-fraction",
         type=float,
         default=0.25,
@@ -465,10 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
         "deadline budget (requires --replication >= 2)",
     )
 
-    return parser
 
 
 def cmd_generate(args) -> int:
+    from repro.data.datasets import load_dataset
+    from repro.data.synthetic import generate_clickstream
+
     if args.profile is not None:
         log = load_dataset(args.profile, scale=args.scale, seed=args.seed)
     else:
@@ -487,6 +458,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from repro.data.clicklog import ClickLog
+    from repro.data.stats import dataset_statistics, format_table
+
     log = ClickLog.from_tsv(args.clicks)
     print(format_table([dataset_statistics(log, name=args.clicks)]))
     return 0
@@ -522,6 +496,11 @@ def cmd_sessionize(args) -> int:
 
 
 def cmd_build_index(args) -> int:
+    from repro.data.clicklog import ClickLog
+    from repro.index.builder import IndexBuilder
+    from repro.index.parallel import build_index_parallel
+    from repro.index.serialization import save_index
+
     log = ClickLog.from_tsv(args.clicks)
     started = time.perf_counter()
     if args.workers > 1:
@@ -541,15 +520,34 @@ def cmd_build_index(args) -> int:
     return 0
 
 
+def _refuse(message: str) -> int:
+    """One line on stderr and the usage-error exit code, no traceback."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _open_artifact(path: str, engine: str):
+    """The index ``serve`` and ``recommend`` score from.
+
+    The columnar engine takes either container straight into the buffers
+    it serves from; the heap oracle needs the row-oriented index, which
+    only the ``VMIS`` container holds.
+    """
+    from repro.index.serialization import load_columnar, load_index
+
+    return load_columnar(path) if engine == "columnar" else load_index(path)
+
+
 def cmd_recommend(args) -> int:
-    index = load_index(args.index)
-    model: VMISKNN | VMISKNNColumnar
-    if args.engine == "columnar":
-        model = VMISKNNColumnar(
-            ColumnarSessionIndex.from_session_index(index), m=args.m, k=args.k
-        )
-    else:
-        model = VMISKNN(index, m=args.m, k=args.k)
+    from repro.core.colindex import VMISKNNColumnar
+    from repro.core.vmis import VMISKNN
+
+    try:
+        index = _open_artifact(args.index, args.engine)
+    except (OSError, ValueError) as error:
+        return _refuse(f"cannot open index artifact {args.index}: {error}")
+    model_class = VMISKNNColumnar if args.engine == "columnar" else VMISKNN
+    model = model_class(index, m=args.m, k=args.k)
     for rank, scored in enumerate(
         model.recommend(args.session, how_many=args.count), start=1
     ):
@@ -558,6 +556,18 @@ def cmd_recommend(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    import inspect
+
+    from repro.core.batch import BatchPredictionEngine
+    from repro.data.clicklog import ClickLog
+    from repro.data.split import temporal_split
+    from repro.eval.evaluator import evaluate_next_item, evaluate_next_item_batched
+    from repro.experiments.registry import (
+        RecommenderConfig,
+        build_recommender,
+        recommender_class,
+    )
+
     log = ClickLog.from_tsv(args.clicks)
     split = temporal_split(log, test_days=args.test_days)
     params = {"m": args.m, "k": args.k}
@@ -607,6 +617,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_grid_search(args) -> int:
+    from repro.data.clicklog import ClickLog
+    from repro.data.split import temporal_split
+    from repro.eval.gridsearch import grid_search
+
     log = ClickLog.from_tsv(args.clicks)
     split = temporal_split(log, test_days=1)
     result = grid_search(
@@ -636,6 +650,7 @@ def cmd_experiment(args) -> int:
 
 
 def _cmd_index_build(args) -> int:
+    from repro.data.clicklog import ClickLog
     from repro.index.lifecycle import DailyIndexLifecycle, IndexRegistry
     from repro.index.lifecycle.validation import IngestionPolicy
 
@@ -673,6 +688,8 @@ def _cmd_index_build(args) -> int:
 
 
 def _cmd_index_promote(args) -> int:
+    from repro.data.clicklog import ClickLog
+    from repro.data.split import temporal_split
     from repro.index.lifecycle import DailyIndexLifecycle, IndexRegistry
     from repro.index.lifecycle.gate import GatePolicy
 
@@ -843,6 +860,7 @@ def cmd_bench(args) -> int:
 
 
 def _cmd_stream_produce(args) -> int:
+    from repro.data.clicklog import ClickLog
     from repro.streaming import ClickProducer, PartitionedLog
 
     clicks = ClickLog.from_tsv(args.clicks)
@@ -878,6 +896,7 @@ def _cmd_stream_consume(args) -> int:
     from pathlib import Path
 
     from repro.index.maintenance import IncrementalIndexer
+    from repro.index.serialization import load_index, save_index
     from repro.streaming import (
         CommittedOffsets,
         ConsumerGroup,
@@ -996,7 +1015,10 @@ def cmd_serve(args) -> int:
     from repro.serving.resilience import ResiliencePolicy
     from repro.serving.ring import ReplicationPolicy
 
-    index = load_index(args.index)
+    try:
+        index = _open_artifact(args.index, args.engine)
+    except (OSError, ValueError) as error:
+        return _refuse(f"cannot open index artifact {args.index}: {error}")
     replication = ReplicationPolicy(
         replication_factor=max(args.replication, 1),
         virtual_nodes=args.vnodes,
@@ -1054,25 +1076,96 @@ def cmd_serve(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "generate": cmd_generate,
-    "stats": cmd_stats,
-    "sessionize": cmd_sessionize,
-    "build-index": cmd_build_index,
-    "recommend": cmd_recommend,
-    "evaluate": cmd_evaluate,
-    "grid-search": cmd_grid_search,
-    "experiment": cmd_experiment,
-    "index": cmd_index,
-    "bench": cmd_bench,
-    "stream": cmd_stream,
-    "serve": cmd_serve,
+# verb -> (help line, its arguments, its command)
+_VERBS: dict[str, tuple[str, Callable, Callable]] = {
+    "generate": (
+        "generate a synthetic clickstream as TSV",
+        _generate_arguments,
+        cmd_generate,
+    ),
+    "stats": (
+        "Table 1 statistics of a TSV log",
+        _stats_arguments,
+        cmd_stats,
+    ),
+    "sessionize": (
+        "cut a raw user-event TSV (user_id, item_id, timestamp) "
+        "into sessions by inactivity gap",
+        _sessionize_arguments,
+        cmd_sessionize,
+    ),
+    "build-index": (
+        "run the offline index build",
+        _build_index_arguments,
+        cmd_build_index,
+    ),
+    "recommend": (
+        "next-item recommendations from an index artifact",
+        _recommend_arguments,
+        cmd_recommend,
+    ),
+    "evaluate": (
+        "next-item evaluation with a held-out last day",
+        _evaluate_arguments,
+        cmd_evaluate,
+    ),
+    "grid-search": (
+        "(k, m) hyperparameter sweep (Figure 2)",
+        _grid_search_arguments,
+        cmd_grid_search,
+    ),
+    "experiment": (
+        "run a declarative experiment config (JSON)",
+        _experiment_arguments,
+        cmd_experiment,
+    ),
+    "index": (
+        "hardened daily index lifecycle against a versioned registry",
+        _index_arguments,
+        cmd_index,
+    ),
+    "bench": (
+        "structured benchmark trajectory and regression gate",
+        _bench_arguments,
+        cmd_bench,
+    ),
+    "stream": (
+        "fault-tolerant streaming click ingestion (event-bus lifecycle)",
+        _stream_arguments,
+        cmd_stream,
+    ),
+    "serve": (
+        "start the HTTP serving component",
+        _serve_arguments,
+        cmd_serve,
+    ),
 }
 
 
+def _parser_for(verbs: Iterable[str]) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Serenade (SIGMOD 2022) reproduction toolkit",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    for verb in verbs:
+        help_line, add_arguments, _ = _VERBS[verb]
+        add_arguments(commands.add_parser(verb, help=help_line))
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole parser: every verb with every flag, default and help text."""
+    return _parser_for(_VERBS)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A command line that names its verb needs that verb's sub-parser only;
+    # anything else (``--help``, a typo) gets the whole parser's answer.
+    parser = _parser_for(argv[:1]) if argv and argv[0] in _VERBS else build_parser()
+    args = parser.parse_args(argv)
+    return _VERBS[args.command][2](args)
 
 
 if __name__ == "__main__":

@@ -73,6 +73,15 @@ a window slot belongs to exactly one session, the gather keeps
 session-major neighbour-rank order, so every accumulator receives the
 additions of its own session only, in the order ``recommend`` makes them.
 
+**Where the buffers come from.** Three doors, no second build:
+:meth:`ColumnarSessionIndex.from_clicks` wraps the arrays of
+:func:`repro.core.index.build_columns` (the one build, which
+``SessionIndex.from_clicks`` unpacks into dicts and lists);
+``repro.index.serialization.load_columnar`` wraps the arrays of the one
+artifact decoder; :meth:`ColumnarSessionIndex.from_session_index` packs an
+existing row-oriented index. A serving process uses the second and never
+holds the row-oriented index.
+
 The d-ary heap path stays as the differential oracle; see
 ``tests/testing/test_columnar_properties.py`` and the corpus sweep in
 :mod:`repro.testing.oracle`, which hold the two paths bit-equal.
@@ -87,7 +96,7 @@ import numpy as np
 
 from repro.core.contracts import frozen_buffers
 from repro.core.floatcmp import is_zero_score
-from repro.core.index import SessionIndex
+from repro.core.index import IndexColumns, SessionIndex, columns_from_clicks
 from repro.core.predictor import BatchMixin
 from repro.core.types import (
     Click,
@@ -381,34 +390,37 @@ class ColumnarSessionIndex:
         cls, clicks: Iterable[Click], max_sessions_per_item: int = 5000
     ) -> "ColumnarSessionIndex":
         """Build the columnar index straight from raw click events."""
-        return cls.from_session_index(
-            SessionIndex.from_clicks(
-                clicks, max_sessions_per_item=max_sessions_per_item
-            )
-        )
+        return cls(**columns_from_clicks(clicks, max_sessions_per_item)._asdict())
 
     def to_session_index(self) -> SessionIndex:
-        """Unpack back into the dict/list index (timestamps as floats)."""
-        item_ids = self.item_ids.tolist()
-        offsets = self.posting_offsets.tolist()
-        sessions = self.posting_sessions.tolist()
-        item_to_sessions = {
-            item: sessions[offsets[row] : offsets[row + 1]]
-            for row, item in enumerate(item_ids)
-        }
-        frequencies = dict(zip(item_ids, self.item_frequencies.tolist()))
-        session_offsets = self.session_item_offsets.tolist()
-        flat = self.session_item_values.tolist()
-        session_items = [
-            tuple(flat[session_offsets[sid] : session_offsets[sid + 1]])
-            for sid in range(self.num_sessions)
-        ]
-        return SessionIndex(
-            item_to_sessions=item_to_sessions,
-            session_timestamps=self.session_timestamps.tolist(),
-            session_items=session_items,
-            item_session_counts=frequencies,
-            max_sessions_per_item=self.max_sessions_per_item,
+        """Unpack back into the dict/list index.
+
+        Timestamps are stored as float64. They come back as integers
+        whenever every stored value is integral, which is always the case
+        for an index built from integer click timestamps, so the result
+        can be written with ``save_index``; otherwise they stay floats.
+        float64 holds integers exactly up to ``2**53``: a larger timestamp
+        was rounded to its nearest representable neighbour on the way in
+        (``2**53 + 1`` is stored, and comes back, as ``2**53``). Internal
+        ids, not timestamps, carry the recency order, so rounding can tie
+        two timestamps but never reorder sessions.
+        """
+        timestamps = self.session_timestamps
+        with np.errstate(invalid="ignore"):  # nan/inf: not integral, stay floats
+            integral = timestamps.astype(_INT)
+        if np.array_equal(integral, timestamps):
+            timestamps = integral
+        return SessionIndex.from_columns(
+            IndexColumns(
+                self.item_ids,
+                self.item_frequencies,
+                self.posting_offsets,
+                self.posting_sessions,
+                timestamps,
+                self.session_item_offsets,
+                self.session_item_values,
+                self.max_sessions_per_item,
+            )
         )
 
     # -- SessionIndex-compatible query surface -------------------------------

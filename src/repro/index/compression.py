@@ -20,12 +20,26 @@ from collections import OrderedDict
 
 from repro.core.index import SessionIndex
 from repro.core.types import ItemId, SessionId, Timestamp
-from repro.index.serialization import (
-    _decode_descending,
-    _encode_descending,
-    _read_varint,
-    _write_varint,
-)
+from repro.index.serialization import _encode_descending, _write_varint
+
+
+def _varint_at(arena: bytes, offset: int) -> tuple[int, int]:
+    """The varint starting at ``offset`` and the offset after it.
+
+    Query-time access decodes one short record at a known offset, which a
+    plain loop does in a microsecond or two; the array decoder of
+    :mod:`repro.index.serialization` is for whole payloads and costs more
+    than that to set up.
+    """
+    result = 0
+    shift = 0
+    while True:
+        byte = arena[offset]
+        offset += 1
+        result |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return result, offset
+        shift += 7
 
 
 class CompressedSessionIndex:
@@ -107,7 +121,14 @@ class CompressedSessionIndex:
         offset = self._posting_offsets.get(item_id)
         if offset is None:
             return []
-        postings, _ = _decode_descending(self._posting_arena, offset)
+        arena = self._posting_arena
+        count, offset = _varint_at(arena, offset)
+        postings: list[SessionId] = []
+        previous = 0
+        for position in range(count):
+            raw, offset = _varint_at(arena, offset)
+            previous = raw if position == 0 else previous - raw
+            postings.append(previous)
         self._cache[item_id] = postings
         if len(self._cache) > self._cache_size:
             self._cache.popitem(last=False)
@@ -125,11 +146,11 @@ class CompressedSessionIndex:
         """
         offset = self._items_offsets[session_id]
         arena = self._items_arena
-        count, offset = _read_varint(arena, offset)
+        count, offset = _varint_at(arena, offset)
         items = []
         previous = 0
         for _ in range(count):
-            delta, offset = _read_varint(arena, offset)
+            delta, offset = _varint_at(arena, offset)
             previous += delta
             items.append(previous)
         return tuple(items)

@@ -16,6 +16,16 @@ Varints use the LEB128 scheme; posting lists are *descending*, so they are
 stored as first value + positive deltas, which keeps varints short and is
 the usual inverted-index trick.
 
+:func:`_decode_index` is the one ``VMIS`` decoder. It decodes the payload
+per varint with array operations (:func:`_decode_varints`), walks only the
+record structure in Python, rebuilds all posting runs with one cumulative
+sum, and returns flat arrays (:class:`~repro.core.index.IndexColumns`).
+:func:`deserialize_index` / :func:`load_index` unpack those arrays into a
+:class:`SessionIndex`; :func:`load_columnar` gives them to
+:class:`ColumnarSessionIndex` as they are, so a pod that serves the
+columnar layout never builds the row-oriented index on the way. Values
+are ``int64``: a varint wider than 63 bits is refused.
+
 The columnar index (:class:`~repro.core.colindex.ColumnarSessionIndex`)
 has its own container, magic ``VMIC``: the same envelope (magic, u32
 version, length-prefixed JSON header, trailing CRC32) around the raw
@@ -40,7 +50,7 @@ from typing import Union
 import numpy as np
 
 from repro.core.colindex import ColumnarSessionIndex
-from repro.core.index import SessionIndex
+from repro.core.index import IndexColumns, SessionIndex, run_offsets
 
 MAGIC = b"VMIS"
 FORMAT_VERSION = 1
@@ -64,16 +74,30 @@ def _write_varint(out: bytearray, value: int) -> None:
             return
 
 
-def _read_varint(buffer: bytes, offset: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        byte = buffer[offset]
-        offset += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, offset
-        shift += 7
+def _decode_varints(raw: np.ndarray) -> np.ndarray:
+    """Decode back-to-back LEB128 varints (a ``uint8`` array) to ``int64``.
+
+    The work is per varint, not per byte: the bytes below ``0x80`` are the
+    ends, every value starts from its first byte, and one pass per further
+    byte position ORs that position in for the varints long enough to have
+    it. Nine bytes (63 bits) is the widest value an ``int64`` id can need.
+    """
+    ends = np.flatnonzero(raw < 0x80)
+    if raw.shape[0] and (ends.shape[0] == 0 or ends[-1] != raw.shape[0] - 1):
+        raise ValueError("index file corrupted: truncated varint")
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    extra_bytes = ends - starts
+    widest = int(extra_bytes.max(initial=0))
+    if widest > 8:
+        raise ValueError("index file corrupted: varint wider than 63 bits")
+    values = (raw[starts] & 0x7F).astype(np.int64)
+    for position in range(1, widest + 1):
+        wide = np.flatnonzero(extra_bytes >= position)
+        values[wide] |= (raw[starts[wide] + position] & 0x7F).astype(np.int64) << (
+            7 * position
+        )
+    return values
 
 
 def _encode_descending(values: list[int]) -> bytearray:
@@ -93,15 +117,21 @@ def _encode_descending(values: list[int]) -> bytearray:
     return out
 
 
-def _decode_descending(buffer: bytes, offset: int) -> tuple[list[int], int]:
-    count, offset = _read_varint(buffer, offset)
-    values: list[int] = []
-    previous = 0
-    for position in range(count):
-        raw, offset = _read_varint(buffer, offset)
-        previous = raw if position == 0 else previous - raw
-        values.append(previous)
-    return values, offset
+def _rebuild_descending(payload: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Undo :func:`_encode_descending` for back-to-back runs at once.
+
+    ``payload`` holds, run after run, a first value and then the positive
+    deltas down from it; ``counts`` is the length of every run. One
+    cumulative sum over the payload with the deltas negated rebuilds
+    every run; what it carried in from the runs before is taken off.
+    """
+    starts = run_offsets(counts)[:-1][counts > 0]
+    signed = np.negative(payload)
+    signed[starts] = payload[starts]
+    rebuilt = np.cumsum(signed)
+    carried = rebuilt[starts] - payload[starts]
+    rebuilt -= np.repeat(carried, counts[counts > 0])
+    return rebuilt
 
 
 def serialize_index(index: SessionIndex) -> bytes:
@@ -136,8 +166,15 @@ def serialize_index(index: SessionIndex) -> bytes:
     return bytes(out)
 
 
-def deserialize_index(data: bytes) -> SessionIndex:
-    """Parse the binary container back into a :class:`SessionIndex`."""
+def _decode_index(data: bytes) -> IndexColumns:
+    """The one ``VMIS`` decoder: container bytes to flat index arrays.
+
+    :func:`deserialize_index` unpacks the arrays into a
+    :class:`SessionIndex`; :func:`load_columnar` hands them to
+    :class:`ColumnarSessionIndex` as they are. Magic, CRC and version are
+    checked before anything is decoded, and only the record structure (a
+    count per session, three header values per item) is walked in Python.
+    """
     if len(data) < 12 or data[:4] != MAGIC:
         raise ValueError("not a VMIS index file (bad magic)")
     stored_crc = struct.unpack("<I", data[-4:])[0]
@@ -156,36 +193,64 @@ def deserialize_index(data: bytes) -> SessionIndex:
     num_sessions = header["num_sessions"]
     num_items = header["num_items"]
 
-    timestamps = list(
-        struct.unpack_from(f"<{num_sessions}Q", data, offset)
+    payload_start = offset + 8 * num_sessions
+    payload_end = len(data) - 4
+    if num_sessions < 0 or payload_start > payload_end:
+        raise ValueError("index file corrupted: timestamps overrun the payload")
+    timestamps = np.frombuffer(data, dtype="<u8", count=num_sessions, offset=offset)
+    values = _decode_varints(
+        np.frombuffer(
+            data, dtype=np.uint8, count=payload_end - payload_start, offset=payload_start
+        )
     )
-    offset += 8 * num_sessions
 
-    session_items: list[tuple[int, ...]] = []
-    for _ in range(num_sessions):
-        count, offset = _read_varint(data, offset)
-        items = []
-        for _ in range(count):
-            item, offset = _read_varint(data, offset)
-            items.append(item)
-        session_items.append(tuple(items))
+    session_counts: list[int] = []
+    item_heads: list[int] = []
+    position = 0
+    try:
+        for _ in range(num_sessions):
+            count = values.item(position)
+            session_counts.append(count)
+            position += 1 + count
+        items_start = position
+        for _ in range(num_items):
+            item_heads.append(position)
+            position += 3 + values.item(position + 2)
+    except IndexError:
+        raise ValueError(
+            "index file corrupted: a record overruns the payload"
+        ) from None
+    if position != values.shape[0]:
+        raise ValueError(
+            "index file corrupted: records end at varint "
+            f"{position} of {values.shape[0]}"
+        )
 
-    item_to_sessions: dict[int, list[int]] = {}
-    item_session_counts: dict[int, int] = {}
-    for _ in range(num_items):
-        item, offset = _read_varint(data, offset)
-        frequency, offset = _read_varint(data, offset)
-        postings, offset = _decode_descending(data, offset)
-        item_to_sessions[item] = postings
-        item_session_counts[item] = frequency
-
-    return SessionIndex(
-        item_to_sessions=item_to_sessions,
+    session_item_offsets = run_offsets(np.asarray(session_counts, dtype=np.int64))
+    heads = np.asarray(item_heads, dtype=np.int64)
+    posting_counts = values[heads + 2]
+    # Everything that is not a count or an item header is payload.
+    is_payload = np.ones(values.shape[0], dtype=bool)
+    is_payload[session_item_offsets[:-1] + np.arange(num_sessions)] = False
+    for field in range(3):
+        is_payload[heads + field] = False
+    return IndexColumns(
+        item_ids=values[heads],
+        item_frequencies=values[heads + 1],
+        posting_offsets=run_offsets(posting_counts),
+        posting_sessions=_rebuild_descending(
+            values[items_start:][is_payload[items_start:]], posting_counts
+        ),
         session_timestamps=timestamps,
-        session_items=session_items,
-        item_session_counts=item_session_counts,
+        session_item_offsets=session_item_offsets,
+        session_item_values=values[:items_start][is_payload[:items_start]],
         max_sessions_per_item=header["max_sessions_per_item"],
     )
+
+
+def deserialize_index(data: bytes) -> SessionIndex:
+    """Parse the binary container back into a :class:`SessionIndex`."""
+    return SessionIndex.from_columns(_decode_index(data))
 
 
 def serialize_columnar(index: ColumnarSessionIndex) -> bytes:
@@ -302,6 +367,18 @@ def save_index(index: SessionIndex, path: str | Path) -> int:
 def load_index(path: str | Path) -> SessionIndex:
     """Load an index artifact written by :func:`save_index`."""
     return deserialize_index(Path(path).read_bytes())
+
+
+def load_columnar(path: str | Path) -> ColumnarSessionIndex:
+    """Load either container as the columnar index a pod serves from.
+
+    A ``VMIS`` artifact is decoded straight into the columnar buffers;
+    the row-oriented :class:`SessionIndex` is never built.
+    """
+    data = Path(path).read_bytes()
+    if data[:4] == COLUMNAR_MAGIC:
+        return deserialize_columnar(data)
+    return ColumnarSessionIndex(**_decode_index(data)._asdict())
 
 
 def save_artifact(index: IndexArtifact, path: str | Path) -> int:

@@ -258,7 +258,7 @@ class ServingCluster:
     @classmethod
     def with_index(
         cls,
-        index: SessionIndex,
+        index: SessionIndex | ColumnarSessionIndex,
         num_pods: int = 2,
         m: int = 500,
         k: int = 100,
@@ -269,10 +269,11 @@ class ServingCluster:
 
         In production every pod loads its own copy; in-process we can share
         the immutable index structure safely. ``engine`` selects the
-        scorer: ``"columnar"`` (default) converts the heap index into a
-        frozen :class:`~repro.core.colindex.ColumnarSessionIndex` once and
-        serves through the vectorized scorer; ``"heap"`` keeps the
-        original per-item-heap :class:`~repro.core.vmis.VMISKNN` — the
+        scorer: ``"columnar"`` (default) serves through the vectorized
+        scorer over a frozen
+        :class:`~repro.core.colindex.ColumnarSessionIndex`, taken as it is
+        or converted once from a :class:`SessionIndex`; ``"heap"`` keeps
+        the original per-item-heap :class:`~repro.core.vmis.VMISKNN` — the
         differential oracle, bit-identical by contract. When a
         :class:`ResiliencePolicy` is passed, the fallback chain is derived
         from the same index: VMIS-kNN → index popularity → static top list.
@@ -284,13 +285,22 @@ class ServingCluster:
                 "static_items", popularity.recommend([], how_many=50)
             )
         if engine == "columnar":
-            columnar = ColumnarSessionIndex.from_session_index(index)
+            columnar = (
+                index
+                if isinstance(index, ColumnarSessionIndex)
+                else ColumnarSessionIndex.from_session_index(index)
+            )
             factory: RecommenderFactory = lambda: VMISKNNColumnar(
                 columnar, m=m, k=k, exclude_current_items=True
             )
         elif engine == "heap":
+            rows = (
+                index.to_session_index()
+                if isinstance(index, ColumnarSessionIndex)
+                else index
+            )
             factory = lambda: VMISKNN(
-                index, m=m, k=k, exclude_current_items=True
+                rows, m=m, k=k, exclude_current_items=True
             )
         else:
             raise ValueError(

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.deadline import DEFAULT_BUDGET_SECONDS, Clock, Deadline
+from repro.core.colindex import ColumnarSessionIndex
 from repro.core.index import SessionIndex
 from repro.core.locking import guarded_by, holds_lock
 from repro.core.predictor import SessionRecommender, batch_via_loop
@@ -253,21 +254,24 @@ class StaticRecommender:
 
 
 def popularity_from_index(
-    index: SessionIndex, how_many: int = 100
+    index: SessionIndex | ColumnarSessionIndex, how_many: int = 100
 ) -> StaticRecommender:
     """A popularity fallback derived from the index's session frequencies.
 
-    ``item_session_counts`` is exactly the data a popularity baseline
-    trains on (Ludewig & Jannach show popularity/co-occurrence are strong
-    cheap predictors), and it ships with every built index — no separate
-    training pass, no click log needed at serving time.
+    The per-item session counts ``h_i`` are exactly the data a popularity
+    baseline trains on (Ludewig & Jannach show popularity/co-occurrence
+    are strong cheap predictors), and they ship with every built index in
+    either layout — no separate training pass, no click log needed at
+    serving time.
     """
-    total = sum(index.item_session_counts.values()) or 1
+    if isinstance(index, ColumnarSessionIndex):
+        counts = list(zip(index.item_ids.tolist(), index.item_frequencies.tolist()))
+    else:
+        counts = list(index.item_session_counts.items())
+    total = sum(count for _, count in counts) or 1
     ranked = [
         ScoredItem(item, count / total)
-        for item, count in sorted(
-            index.item_session_counts.items(), key=lambda kv: (-kv[1], kv[0])
-        )[:how_many]
+        for item, count in sorted(counts, key=lambda kv: (-kv[1], kv[0]))[:how_many]
     ]
     return StaticRecommender(ranked)
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core.colindex import ColumnarSessionIndex
 from repro.core.index import SessionIndex
 from repro.core.types import Click
 from repro.data.clicklog import ClickLog
@@ -60,3 +62,19 @@ def medium_log() -> ClickLog:
     return generate_clickstream(
         num_sessions=4000, num_items=800, days=10, seed=777
     )
+
+
+def _assert_same_columnar(
+    left: ColumnarSessionIndex, right: ColumnarSessionIndex
+) -> None:
+    for name in ColumnarSessionIndex.__frozen_buffers__:
+        a, b = getattr(left, name), getattr(right, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert left._item_row == right._item_row
+    assert left.max_sessions_per_item == right.max_sessions_per_item
+
+
+@pytest.fixture(scope="session")
+def assert_same_columnar():
+    """Two columnar indexes equal in every frozen buffer, dtype included."""
+    return _assert_same_columnar

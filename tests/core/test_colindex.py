@@ -47,10 +47,29 @@ class TestConstructionRoundtrip:
         assert restored.session_items == toy_index.session_items
         assert restored.item_session_counts == toy_index.item_session_counts
         assert restored.max_sessions_per_item == toy_index.max_sessions_per_item
-        # Timestamps come back as floats (the columnar store is float64).
-        assert restored.session_timestamps == [
-            float(t) for t in toy_index.session_timestamps
-        ]
+        # The columnar store is float64; integral values come back as the
+        # integers they were, so the result can be serialized again.
+        assert restored.session_timestamps == toy_index.session_timestamps
+        assert all(type(t) is int for t in restored.session_timestamps)
+
+    def test_fractional_timestamps_stay_floats(self):
+        columnar = ColumnarSessionIndex.from_clicks(
+            [Click(0, 1, 1.5), Click(1, 1, 2.0)], 5
+        )
+        assert columnar.to_session_index().session_timestamps == [1.5, 2.0]
+
+    def test_timestamps_past_2_to_the_53_are_rounded_not_refused(self):
+        """float64 cannot tell 2**53 + 1 from 2**53: the columnar index
+        stores the rounded value, and internal ids still carry the order."""
+        exact = SessionIndex.from_clicks(
+            [Click("a", 1, 2**53), Click("b", 1, 2**53 + 1)], 5
+        )
+        assert exact.session_timestamps == [2**53, 2**53 + 1]
+        columnar = ColumnarSessionIndex.from_session_index(exact)
+        assert columnar.session_timestamps.tolist() == [2.0**53, 2.0**53]
+        restored = columnar.to_session_index()
+        assert restored.session_timestamps == [2**53, 2**53]
+        assert restored.item_to_sessions == exact.item_to_sessions
 
     def test_surface_matches_session_index(self, toy_index):
         columnar = ColumnarSessionIndex.from_session_index(toy_index)
