@@ -57,7 +57,7 @@ class ClusterSimulator:
     ) -> None:
         """Args:
         cluster: the serving cluster under test (real code). Service
-            time is measured on its ``perf_clock``: real compute by
+            time is measured on its ``clock``: real compute by
             default; deterministic tests build the cluster on a
             :class:`~repro.testing.clock.VirtualClock` and model service
             time by advancing it inside the recommender.

@@ -43,12 +43,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import multiprocessing
 import threading
 from collections import OrderedDict
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.deadline import Deadline
 from repro.core.heaps import BoundedTopK
@@ -58,6 +55,9 @@ from repro.core.predictor import SessionRecommender, batch_via_loop
 from repro.core.scoring import score_items, top_n
 from repro.core.types import ItemId, ScoredItem, SessionId
 from repro.core.vmis import VMISKNN
+
+if TYPE_CHECKING:  # pragma: no cover - the pools are imported by _pool()
+    from concurrent.futures import Executor
 
 CacheKey = tuple[tuple[ItemId, ...], int]
 
@@ -336,8 +336,16 @@ class BatchPredictionEngine:
     # -- lifecycle -----------------------------------------------------------
 
     def _pool(self) -> Executor:
-        """The lazily created worker pool."""
+        """The lazily created worker pool.
+
+        ``multiprocessing`` and ``concurrent.futures`` are imported here,
+        not with the module: a serving process scores on the request
+        thread and never builds a pool, so it never loads them.
+        """
         if self._executor is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
             if self.use_processes:
                 if "fork" in multiprocessing.get_all_start_methods():
                     self._seed_id = next(_seed_ids)
@@ -491,6 +499,8 @@ class BatchPredictionEngine:
                     out.extend(_score_list(self._recommender, part, how_many))
             return out
         pool = self._pool()
+        from concurrent.futures import TimeoutError as FutureTimeout
+
         chunks = _chunks(sessions, self.num_workers)
         if self.use_processes:
             futures = [
@@ -538,6 +548,8 @@ class BatchPredictionEngine:
             ]
         else:
             pool = self._pool()
+            from concurrent.futures import TimeoutError as FutureTimeout
+
             futures = [
                 pool.submit(_shard_candidates, shard, capped)
                 for shard in self._shards

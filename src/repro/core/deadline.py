@@ -31,7 +31,7 @@ class Deadline:
             work_with_timeout(deadline.remaining())
     """
 
-    __slots__ = ("_clock", "_started", "_expires")
+    __slots__ = ("_clock", "started", "_expires")
 
     def __init__(
         self,
@@ -41,8 +41,10 @@ class Deadline:
         if budget_seconds < 0:
             raise ValueError(f"budget must be >= 0, got {budget_seconds}")
         self._clock = clock
-        self._started = clock()
-        self._expires = self._started + budget_seconds
+        #: the clock reading the budget runs from: also when the request
+        #: it guards started, so no caller reads the clock for that again.
+        self.started = clock()
+        self._expires = self.started + budget_seconds
 
     @classmethod
     def after_ms(cls, budget_ms: float, clock: Clock = time.monotonic) -> "Deadline":
@@ -55,7 +57,7 @@ class Deadline:
 
     def elapsed(self) -> float:
         """Seconds since the deadline was created."""
-        return self._clock() - self._started
+        return self._clock() - self.started
 
     @property
     def expired(self) -> bool:
@@ -63,7 +65,7 @@ class Deadline:
 
     @property
     def budget_seconds(self) -> float:
-        return self._expires - self._started
+        return self._expires - self.started
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -7,7 +7,11 @@ This module provides the same contract as a small LSM-style store:
 
 * an in-memory memtable (hash map) for µs-scale reads and writes;
 * an optional write-ahead log for durability, replayed on open;
-* per-entry TTL with lazy expiry on read plus an explicit ``sweep``;
+* per-entry TTL with lazy expiry on read, an explicit ``sweep``, and
+  :meth:`~KVStore.expire_oldest`: the memtable is kept in last-write
+  order, so a writer can carry expired entries out from its oldest end a
+  few at a time, and an entry that is never read again still leaves
+  memory without anybody walking the whole table;
 * ``compact`` to rewrite the WAL down to the live entry set.
 
 The store is thread-safe; the serving layer shares one instance per pod.
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -47,7 +52,8 @@ class KVStore:
             clock: time source; inject a fake for simulations and tests.
             sync_every: fsync cadence for the WAL (0 = never fsync).
         """
-        self._memtable: dict[bytes, tuple[bytes, float]] = {}
+        #: key -> (value, expire_at), oldest write first.
+        self._memtable: OrderedDict[bytes, tuple[bytes, float]] = OrderedDict()
         self._lock = threading.Lock()
         self._clock = clock
         self.default_ttl = default_ttl
@@ -67,15 +73,16 @@ class KVStore:
                     self._memtable.pop(record.key, None)
                 else:
                     self._memtable[record.key] = (record.value, record.expire_at)
+                    self._memtable.move_to_end(record.key)
             elif record.op == OP_DELETE:
                 self._memtable.pop(record.key, None)
 
-    def _expire_at(self, ttl: float | None) -> float:
+    def _expire_at(self, ttl: float | None, now: float) -> float:
         if ttl is None:
             ttl = self.default_ttl
         if ttl is None:
             return 0.0
-        return self._clock() + ttl
+        return now + ttl
 
     def now(self) -> float:
         """The store's current clock reading (the injected time source)."""
@@ -88,9 +95,11 @@ class KVStore:
         never), so callers mirroring writes into a replication stream can
         ship the exact expiry rather than recomputing it.
         """
-        expire_at = self._expire_at(ttl)
+        expire_at = self._expire_at(ttl, self._clock())
         with self._lock:
+            # The newest write goes last: see expire_oldest.
             self._memtable[key] = (value, expire_at)
+            self._memtable.move_to_end(key)
             if self._wal is not None:
                 self._wal.append(WalRecord(OP_PUT, key, value, expire_at))
         return expire_at
@@ -129,16 +138,18 @@ class KVStore:
         This is how the session store keeps *active* sessions alive while
         idle ones age out after 30 minutes.
         """
+        now = self._clock()
         with self._lock:
             entry = self._memtable.get(key)
             if entry is None:
                 return False
             value, expire_at = entry
-            if expire_at != 0.0 and expire_at <= self._clock():
+            if expire_at != 0.0 and expire_at <= now:
                 del self._memtable[key]
                 return False
-            new_expire = self._expire_at(ttl)
+            new_expire = self._expire_at(ttl, now)
             self._memtable[key] = (value, new_expire)
+            self._memtable.move_to_end(key)
             if self._wal is not None:
                 self._wal.append(WalRecord(OP_PUT, key, value, new_expire))
             return True
@@ -155,6 +166,28 @@ class KVStore:
             for key in dead:
                 del self._memtable[key]
             return len(dead)
+
+    def expire_oldest(self, limit: int) -> int:
+        """Drop up to ``limit`` expired entries, oldest write first.
+
+        Stops at the first live entry: with one TTL for every entry,
+        nothing written after a live entry has expired either. Called
+        after each write with a ``limit`` above one, this keeps the
+        expired part of the table shrinking at a bounded cost per write.
+        Returns how many entries were dropped.
+        """
+        now = self._clock()
+        dropped = 0
+        with self._lock:
+            memtable = self._memtable
+            while dropped < limit and memtable:
+                oldest = next(iter(memtable))
+                expire_at = memtable[oldest][1]
+                if expire_at == 0.0 or expire_at > now:
+                    break
+                del memtable[oldest]
+                dropped += 1
+        return dropped
 
     def compact(self) -> None:
         """Rewrite the WAL to contain exactly the live entries."""

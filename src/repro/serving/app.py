@@ -54,7 +54,6 @@ from repro.serving.resilience import (
     CircuitBreaker,
     FallbackChain,
     FallbackStage,
-    Overloaded,
     ResiliencePolicy,
     ResilientRecommender,
     StaticRecommender,
@@ -86,7 +85,6 @@ class ServingCluster:
         static_items: Sequence[ScoredItem] = (),
         wal_dir: str | Path | None = None,
         index_version: str | None = None,
-        perf_clock: Clock | None = None,
         replication: ReplicationPolicy | None = None,
     ) -> None:
         """Build the cluster.
@@ -96,7 +94,12 @@ class ServingCluster:
                 *own replica* of the index, the paper's replication choice.
             num_pods: pod count (the production deployment uses two).
             rules: business rules shared by all pods.
-            clock: injectable time source for the session TTLs.
+            clock: the cluster's time source: session TTLs, service-time
+                measurement and the guardrail machinery (deadlines,
+                breakers). ``None`` keeps the real clocks (monotonic, and
+                ``perf_counter`` for service times); the deterministic
+                simulation layer (:mod:`repro.testing.simulation`) injects
+                a :class:`~repro.testing.clock.VirtualClock` here.
             cache_size: per-pod LRU result cache capacity on the
                 single-query path; 0 disables caching (seed behaviour).
             resilience: enable the SLA guardrail layer with this policy;
@@ -110,12 +113,6 @@ class ServingCluster:
             index_version: label of the index version the factory builds
                 (e.g. a registry version id); surfaced per pod in
                 ``rollout_info()`` and ``/metrics``.
-            perf_clock: injectable time source for service-time
-                measurement and the guardrail machinery (deadlines,
-                breakers, admission control). ``None`` keeps real
-                monotonic clocks; the deterministic simulation layer
-                (:mod:`repro.testing.simulation`) injects a
-                :class:`~repro.testing.clock.VirtualClock` here.
             replication: the ring's policy: each session gets one leader
                 and R-1 followers on the consistent-hash ring, leader
                 appends tail-ship to the followers, leader death promotes
@@ -145,15 +142,13 @@ class ServingCluster:
         self.resilience = resilience
         self._fallback_factory = fallback_factory
         self._static_items = tuple(static_items)
-        self._perf_clock = perf_clock
-        self._guard_clock: Clock = (
-            perf_clock if perf_clock is not None else time.monotonic
-        )
+        self._clock = clock
+        self._guard_clock: Clock = clock if clock is not None else time.monotonic
         self.wal_dir = Path(wal_dir) if wal_dir is not None else None
         if self.wal_dir is not None:
             self.wal_dir.mkdir(parents=True, exist_ok=True)
         self.admission: AdmissionController | None = (
-            AdmissionController(resilience.queue_capacity, clock=self._guard_clock)
+            AdmissionController(resilience.queue_capacity)
             if resilience is not None
             else None
         )
@@ -173,11 +168,8 @@ class ServingCluster:
         #: "idle" | "canary" | "rolling" | "completed" | "rolled_back".
         self.rollout_state = "idle"
         self._rules = rules
-        self._clock = clock
-        #: the request path: routes, heals, replicates and hedges.
-        self.coordinator = RingCoordinator(
-            self, replication, perf_clock=perf_clock
-        )
+        #: the request path: admits, routes, heals, replicates and hedges.
+        self.coordinator = RingCoordinator(self, replication, perf_clock=clock)
         for pod_number in range(num_pods):
             self._spawn_pod(f"pod-{pod_number}")
         #: the pods' cap on stored history; handle_batch applies the same.
@@ -241,12 +233,11 @@ class ServingCluster:
             rules=self._rules,
             clock=self._clock,
             wal_path=self._pod_wal_path(pod_id),
-            perf_clock=self._perf_clock,
             # A replication log with no follower to ship to only grows.
             replicate_sessions=self.replication.replication_factor > 1,
-            # Chaos stalls must burn *virtual* time when a virtual perf
-            # clock is injected, so the hedge race stays deterministic.
-            stall_sleep=getattr(self._perf_clock, "sleep", None),
+            # Chaos stalls must burn *virtual* time when a virtual clock
+            # is injected, so the hedge race stays deterministic.
+            stall_sleep=getattr(self._clock, "sleep", None),
         )
         self.pods[pod_id] = server
         self.pod_versions[pod_id] = self.index_version
@@ -318,19 +309,13 @@ class ServingCluster:
     def handle(self, request: RecommendationRequest) -> RecommendationResponse:
         """Serve a frontend request on the pod leading its session.
 
-        With guardrails on, the request first takes a slot in the bounded
-        admission queue; if the cluster is saturated the oldest queued
-        request (possibly this one) is shed with :class:`Overloaded`.
+        The one request path is :meth:`RingCoordinator.handle`: with
+        guardrails on, the request first takes a slot in the bounded
+        admission queue, and if the cluster is saturated the oldest
+        queued request (possibly this one) is shed with
+        :class:`Overloaded`.
         """
-        if self.admission is None:
-            return self.coordinator.handle(request)
-        token = self.admission.submit(request.session_key)
-        try:
-            if token.shed:
-                raise Overloaded()
-            return self.coordinator.handle(request)
-        finally:
-            self.admission.release(token)
+        return self.coordinator.handle(request)
 
     def handle_batch(
         self, sessions: Sequence[Sequence[ItemId]], how_many: int = 21

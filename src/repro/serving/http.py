@@ -164,13 +164,7 @@ def parse_recommend_payload(payload: dict) -> RecommendationRequest:
     count = payload.get("count", 21)
     if not isinstance(count, int) or isinstance(count, bool) or not 1 <= count <= 100:
         raise BadRequest("count must be an integer in [1, 100]")
-    return RecommendationRequest(
-        session_key=session_id,
-        item_id=item_id,
-        consent=consent,
-        variant=variant,
-        how_many=count,
-    )
+    return RecommendationRequest(session_id, item_id, consent, variant, count)
 
 
 def parse_batch_payload(payload: dict) -> tuple[list[list[int]], int]:
@@ -222,6 +216,16 @@ def _encode_items(ranked: Iterable[ScoredItem]) -> str:
     return "[" + text + "]"
 
 
+class _JsonStrings(dict):
+    """``json.dumps`` of a name, written once per name: the pod ids and
+    stage names an answer carries are a handful of strings, and a
+    ``json.dumps`` call costs more than the dictionary lookup."""
+
+    def __missing__(self, name: str) -> str:
+        text = self[name] = json.dumps(name)
+        return text
+
+
 class SerenadeService:
     """The application object behind the HTTP handler (testable directly).
 
@@ -237,6 +241,7 @@ class SerenadeService:
     ) -> None:
         self.cluster = cluster
         self._perf: Clock = perf_clock if perf_clock is not None else time.perf_counter
+        self._json_names = _JsonStrings()
         self.metrics = MetricsRegistry()
         self._requests = self.metrics.counter(
             "serenade_requests_total", "Recommendation requests by status"
@@ -358,14 +363,15 @@ class SerenadeService:
         elapsed = self._perf() - started
         self._requests.increment(status="ok")
         self._latency.observe(elapsed)
+        names = self._json_names
         return (
             '{"items": %s, "pod": %s, "latency_ms": %s, "degraded": %s, "stage": %s}'
             % (
                 _encode_items(response.items),
-                json.dumps(response.served_by),
+                names[response.served_by],
                 _float_repr(elapsed * 1e3),
                 "true" if response.degraded else "false",
-                json.dumps(response.served_stage),
+                names[response.served_stage],
             )
         ).encode("ascii")
 

@@ -5,7 +5,9 @@ operators watch request rates, latency percentiles and core usage
 (Figures 3b/3c are rendered from exactly these series). This module
 provides the in-process metrics primitives the HTTP service exports:
 
-* :class:`Counter` — monotonically increasing counts with labels;
+* :class:`Counter` — monotonically increasing counts with labels, and
+  :class:`Gauge` — a value that goes up and down, both
+  :class:`LabelledSeries` (one value per label set);
 * :class:`Histogram` — fixed-bucket latency histogram with quantile
   estimation (upper-bound interpolation, like Prometheus');
 * :class:`MetricsRegistry` — named metrics rendered in the Prometheus
@@ -43,14 +45,43 @@ DEFAULT_BUCKETS = (
 
 
 @guarded_by("_lock", "_values")
-class Counter:
-    """A monotonic counter with optional label sets."""
+class LabelledSeries:
+    """One value per label set: the storage, lookup and text rendering
+    that a :class:`Counter` and a :class:`Gauge` share. Subclasses say
+    how a value changes and which Prometheus ``TYPE`` they are."""
+
+    kind = "untyped"
 
     def __init__(self, name: str, help_text: str = "") -> None:
         self.name = name
         self.help_text = help_text
         self._values: dict[tuple[tuple[str, str], ...], float] = {}
         self._lock = threading.Lock()
+
+    def value(self, **labels: str) -> float:
+        key = tuple(sorted(labels.items()))
+        with self._lock:
+            return self._values.get(key, 0.0)
+
+    def render(self) -> list[str]:
+        lines = [
+            f"# HELP {self.name} {self.help_text}",
+            f"# TYPE {self.name} {self.kind}",
+        ]
+        with self._lock:
+            if not self._values:
+                lines.append(f"{self.name} 0")
+            for key, value in sorted(self._values.items()):
+                label_text = ",".join(f'{k}="{v}"' for k, v in key)
+                suffix = f"{{{label_text}}}" if label_text else ""
+                lines.append(f"{self.name}{suffix} {value:g}")
+        return lines
+
+
+class Counter(LabelledSeries):
+    """A monotonic counter with optional label sets."""
+
+    kind = "counter"
 
     def increment(self, amount: float = 1.0, **labels: str) -> None:
         if amount < 0:
@@ -59,53 +90,16 @@ class Counter:
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
-    def value(self, **labels: str) -> float:
-        key = tuple(sorted(labels.items()))
-        with self._lock:
-            return self._values.get(key, 0.0)
 
-    def render(self) -> list[str]:
-        lines = [f"# HELP {self.name} {self.help_text}", f"# TYPE {self.name} counter"]
-        with self._lock:
-            if not self._values:
-                lines.append(f"{self.name} 0")
-            for key, value in sorted(self._values.items()):
-                label_text = ",".join(f'{k}="{v}"' for k, v in key)
-                suffix = f"{{{label_text}}}" if label_text else ""
-                lines.append(f"{self.name}{suffix} {value:g}")
-        return lines
-
-
-@guarded_by("_lock", "_values")
-class Gauge:
+class Gauge(LabelledSeries):
     """A value that can go up and down (breaker states, queue depths)."""
 
-    def __init__(self, name: str, help_text: str = "") -> None:
-        self.name = name
-        self.help_text = help_text
-        self._values: dict[tuple[tuple[str, str], ...], float] = {}
-        self._lock = threading.Lock()
+    kind = "gauge"
 
     def set(self, value: float, **labels: str) -> None:
         key = tuple(sorted(labels.items()))
         with self._lock:
             self._values[key] = value
-
-    def value(self, **labels: str) -> float:
-        key = tuple(sorted(labels.items()))
-        with self._lock:
-            return self._values.get(key, 0.0)
-
-    def render(self) -> list[str]:
-        lines = [f"# HELP {self.name} {self.help_text}", f"# TYPE {self.name} gauge"]
-        with self._lock:
-            if not self._values:
-                lines.append(f"{self.name} 0")
-            for key, value in sorted(self._values.items()):
-                label_text = ",".join(f'{k}="{v}"' for k, v in key)
-                suffix = f"{{{label_text}}}" if label_text else ""
-                lines.append(f"{self.name}{suffix} {value:g}")
-        return lines
 
 
 @guarded_by("_lock", "_counts", "_sum", "_total")

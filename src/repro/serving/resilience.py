@@ -42,9 +42,9 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from repro.core.deadline import DEFAULT_BUDGET_SECONDS, Clock, Deadline
+from repro.core.deadline import Clock, Deadline
 from repro.core.colindex import ColumnarSessionIndex
 from repro.core.index import SessionIndex
 from repro.core.locking import guarded_by, holds_lock
@@ -168,7 +168,16 @@ class CircuitBreaker:
             return self._state
 
     def allow(self) -> bool:
-        """May a call proceed right now? (Counts short-circuits.)"""
+        """May a call proceed right now? (Counts short-circuits.)
+
+        A closed breaker answers without its lock: reading one reference
+        is atomic, a closed breaker has no probe slot to claim and no
+        short-circuit to count, and a trip that lands just after the read
+        lets through one call that a moment earlier would have passed
+        anyway. Every other state is decided under the lock.
+        """
+        if self._state is BreakerState.CLOSED:  # serenade: ignore[SRN004] one atomic read
+            return True
         with self._lock:
             self._maybe_half_open()
             if self._state is BreakerState.CLOSED:
@@ -294,9 +303,10 @@ class FallbackStage:
     timeouts: int = 0
 
 
-@dataclass
-class StageOutcome:
-    """How one request made it through the chain."""
+class StageOutcome(NamedTuple):
+    """How one request made it through the chain: what the chain and a
+    pod's ``predict`` return, so the answer and how it was reached travel
+    together (a tuple: built in one step, immutable once returned)."""
 
     items: list[ScoredItem]
     stage: str
@@ -382,57 +392,53 @@ class FallbackChain:
         how_many: int,
         deadline: Deadline,
     ) -> StageOutcome:
-        """Serve one request, degrading through the chain as needed."""
-        items = list(session_items)
+        """Serve one request, degrading through the chain as needed.
+
+        While the primary's breaker is closed this is one pass: a budget
+        check, the primary's call, a budget check, a success recorded.
+        """
+        reserve = self.reserve_seconds
         errors = 0
         deadline_exceeded = False
         for position, stage in enumerate(self.stages):
-            if not stage.breaker.allow():
+            breaker = stage.breaker
+            if not breaker.allow():
                 continue
-            budget = deadline.remaining() - self.reserve_seconds
-            if budget <= 0:
+            if deadline.remaining() <= reserve:
                 # Budget gone before this stage could start; not the
                 # model's fault, so no breaker outcome is recorded.
-                stage.breaker.cancel()
+                breaker.cancel()
                 deadline_exceeded = True
                 break
             stage.calls += 1
             try:
-                result = stage.recommender.recommend(items, how_many)
+                result = stage.recommender.recommend(session_items, how_many)
             except Exception:
                 stage.failures += 1
                 errors += 1
-                stage.breaker.record_failure()
+                breaker.record_failure()
                 continue
             # The stage cannot be abandoned mid-call, so an overrun is
             # detected after it: the stage took too long iff it burned the
             # budget down past the reserve.
-            if deadline.remaining() < self.reserve_seconds:
+            if deadline.remaining() < reserve:
                 stage.timeouts += 1
-                stage.breaker.record_failure()
+                breaker.record_failure()
                 deadline_exceeded = True
                 continue
             stage.successes += 1
-            stage.breaker.record_success()
+            breaker.record_success()
             return StageOutcome(
-                items=result,
-                stage=stage.name,
-                degraded=position > 0,
-                deadline_exceeded=deadline_exceeded,
-                errors=errors,
+                result, stage.name, position > 0, deadline_exceeded, errors
             )
         # Terminal: effectively free, always answers.
         try:
-            result = self.terminal.recommend(items, how_many=how_many)
+            result = self.terminal.recommend(session_items, how_many=how_many)
         except Exception:
             errors += 1
             result = []
         return StageOutcome(
-            items=result,
-            stage=self.terminal_name,
-            degraded=True,
-            deadline_exceeded=deadline_exceeded,
-            errors=errors,
+            result, self.terminal_name, True, deadline_exceeded, errors
         )
 
     def breaker_states(self) -> dict[str, BreakerState]:
@@ -451,10 +457,12 @@ class FallbackChain:
 class ResilientRecommender:
     """The deadline-budget wrapper installed as a pod's recommender.
 
-    Satisfies :class:`~repro.core.predictor.SessionRecommender`, so the
-    :class:`~repro.serving.server.RecommendationServer` needs no changes
-    to its call site; the outcome of the most recent call on *this thread*
-    is available via :meth:`last_outcome` for response annotation.
+    :meth:`run` is what a pod's ``predict`` calls: it takes the request's
+    one :class:`Deadline` and returns the :class:`StageOutcome`, so the
+    response is annotated from the value the call returned. It also
+    satisfies :class:`~repro.core.predictor.SessionRecommender`
+    (:meth:`recommend` mints a deadline from the policy and returns the
+    items alone), so it can stand in wherever a model can.
     """
 
     def __init__(
@@ -466,7 +474,6 @@ class ResilientRecommender:
         self.chain = chain
         self.policy = policy or ResiliencePolicy()
         self._clock = clock
-        self._local = threading.local()
         self._lock = threading.Lock()
         self.counters = ResilienceCounters()
 
@@ -475,21 +482,15 @@ class ResilientRecommender:
         """The first stage's recommender (for cache introspection)."""
         return self.chain.stages[0].recommender
 
-    def recommend(
+    def run(
         self,
         session_items: Sequence[ItemId],
-        how_many: int = 21,
-        deadline: Deadline | None = None,
-    ) -> list[ScoredItem]:
-        if deadline is None:
-            deadline = Deadline(
-                self.policy.budget_ms / 1000.0
-                if self.policy
-                else DEFAULT_BUDGET_SECONDS,
-                clock=self._clock,
-            )
+        how_many: int,
+        deadline: Deadline,
+    ) -> StageOutcome:
+        """Serve one request through the chain under ``deadline``."""
         outcome = self.chain.run(session_items, how_many, deadline)
-        self._local.outcome = outcome
+        stage = outcome.stage
         with self._lock:
             counters = self.counters
             counters.requests += 1
@@ -497,20 +498,21 @@ class ResilientRecommender:
                 counters.degraded_requests += 1
             if outcome.deadline_exceeded:
                 counters.deadline_timeouts += 1
-            counters.stage_errors += outcome.errors
-            counters.served_by_stage[outcome.stage] = (
-                counters.served_by_stage.get(outcome.stage, 0) + 1
-            )
-        return outcome.items
+            if outcome.errors:
+                counters.stage_errors += outcome.errors
+            served = counters.served_by_stage
+            served[stage] = served.get(stage, 0) + 1
+        return outcome
+
+    def recommend(
+        self, session_items: Sequence[ItemId], how_many: int = 21
+    ) -> list[ScoredItem]:
+        return self.run(session_items, how_many, self.policy.budget(self._clock)).items
 
     def recommend_batch(
         self, sessions: Sequence[Sequence[ItemId]], how_many: int = 21
     ) -> list[list[ScoredItem]]:
         return batch_via_loop(self, sessions, how_many=how_many)
-
-    def last_outcome(self) -> StageOutcome | None:
-        """The outcome of this thread's most recent call (or None)."""
-        return getattr(self._local, "outcome", None)
 
     def breaker_states(self) -> dict[str, BreakerState]:
         return self.chain.breaker_states()
@@ -539,18 +541,18 @@ class ResilientRecommender:
 
 
 class AdmissionToken:
-    """One admitted request's place in the bounded queue."""
+    """One admitted request's place in the bounded queue.
 
-    __slots__ = ("session_key", "entered_at", "_shed")
+    ``shed`` is set by the controller (under its lock) when the token is
+    pushed out of the queue; its owner reads it once, right after
+    :meth:`AdmissionController.submit`.
+    """
 
-    def __init__(self, session_key: str, entered_at: float) -> None:
+    __slots__ = ("session_key", "shed")
+
+    def __init__(self, session_key: str) -> None:
         self.session_key = session_key
-        self.entered_at = entered_at
-        self._shed = False
-
-    @property
-    def shed(self) -> bool:
-        return self._shed
+        self.shed = False
 
 
 @guarded_by("_lock", "_queue", "capacity", "shed_count", "admitted_count")
@@ -566,11 +568,10 @@ class AdmissionController:
     :class:`Overloaded`.
     """
 
-    def __init__(self, capacity: int, clock: Clock = time.monotonic) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._clock = clock
         self._queue: deque[AdmissionToken] = deque()
         self._lock = threading.Lock()
         self.shed_count = 0
@@ -578,13 +579,13 @@ class AdmissionController:
 
     def submit(self, session_key: str) -> AdmissionToken:
         """Enter the queue; may shed older requests (or this one) to fit."""
-        token = AdmissionToken(session_key, self._clock())
+        token = AdmissionToken(session_key)
         with self._lock:
             self._queue.append(token)
             self.admitted_count += 1
             while len(self._queue) > self.capacity:
                 oldest = self._queue.popleft()
-                oldest._shed = True
+                oldest.shed = True
                 self.shed_count += 1
         return token
 
@@ -602,7 +603,7 @@ class AdmissionController:
             self.capacity = capacity
             while len(self._queue) > self.capacity:
                 oldest = self._queue.popleft()
-                oldest._shed = True
+                oldest.shed = True
                 self.shed_count += 1
 
     def release(self, token: AdmissionToken) -> None:

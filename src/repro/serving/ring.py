@@ -54,7 +54,7 @@ from repro.core.contracts import happens_before
 from repro.core.deadline import Clock, Deadline
 from repro.core.locking import guarded_by, holds_lock
 from repro.core.types import ItemId
-from repro.serving.resilience import hedge_delay_seconds
+from repro.serving.resilience import Overloaded, hedge_delay_seconds
 from repro.serving.server import (
     RecommendationRequest,
     RecommendationResponse,
@@ -135,10 +135,6 @@ class HashRing:
         ]
 
     # -- lookup ---------------------------------------------------------------
-
-    def key_point(self, session_key: str) -> int:
-        """Where the key lands on the circle."""
-        return _hash64(session_key)
 
     def primary(self, session_key: str) -> str:
         """The leader pod for this key."""
@@ -274,6 +270,7 @@ class RingCoordinator:
         self._perf: Clock = (
             perf_clock if perf_clock is not None else time.perf_counter
         )
+        self._budget_seconds = policy.budget_ms / 1000.0
         self.hedges_fired = 0
         self.hedge_wins = 0
         self.fenced_hedges = 0
@@ -427,8 +424,16 @@ class RingCoordinator:
         request: RecommendationRequest,
         deadline: Deadline | None = None,
     ) -> RecommendationResponse:
-        """Serve one request through the ring: leader write, replicate,
-        predict with a deadline-derived hedge against a follower.
+        """Serve one request: the cluster's one request path, for every R.
+
+        In one pass: take an admission slot (when the cluster sheds), find
+        the key's live leader, update the session there, ship the log tail
+        to the followers, predict under the request's one
+        :class:`Deadline` — hedging to a follower when the leader is slow
+        — and account the service time. The deadline is minted here
+        unless the caller brings one; its start is the request's start,
+        and the clock is read again only after the session update and
+        after the prediction.
 
         The hedge race is resolved arithmetically so it is exact on
         virtual clocks: the hedged response costs
@@ -436,66 +441,78 @@ class RingCoordinator:
         and whichever of that and ``leader_elapsed`` is smaller is the
         response the caller would have seen first.
         """
-        if deadline is None:
-            deadline = Deadline(self.policy.budget_ms / 1000.0, clock=self._perf)
-        cluster = self._cluster
         perf = self._perf
-        prefs = self.live_preferences(request.session_key)
-        leader = cluster.pods[prefs[0]]
-
-        # A single-copy key (R = 1, or one pod left) has nobody to ship
-        # to and nobody to hedge against.
-        replicated = len(prefs) > 1
-        started = perf()
-        visible = leader.update_session(request)
-        if replicated and request.consent:
-            self._replicate(prefs, request.session_key)
-        store_done = perf()
-
-        # The hedge delay is fixed *before* the leader runs — it models
-        # the timer armed when the request is dispatched.
-        hedge_delay = (
-            hedge_delay_seconds(deadline, self.policy.hedge_fraction)
-            if replicated and self.policy.hedge_enabled
-            else None
-        )
-        items, degraded, stage = leader.predict(
-            visible, request.how_many, deadline=deadline
-        )
-        leader_elapsed = perf() - store_done
-        winner = leader
-        effective = leader_elapsed
-
-        if hedge_delay is not None and leader_elapsed > hedge_delay:
-            follower_id = self._hedge_target(
-                prefs[0], prefs[1:], request.session_key
+        if deadline is None:
+            deadline = Deadline(self._budget_seconds, clock=perf)
+        started = deadline.started
+        cluster = self._cluster
+        # Admission: a bounded queue that sheds oldest-first (HTTP 429).
+        admission = cluster.admission
+        if admission is not None:
+            token = admission.submit(request.session_key)
+            if token.shed:
+                admission.release(token)
+                raise Overloaded()
+        try:
+            prefs = self.live_preferences(request.session_key)
+            leader = cluster.pods[prefs[0]]
+            # A single-copy key (R = 1, or one pod left) has nobody to
+            # ship to and nobody to hedge against.
+            replicated = len(prefs) > 1
+            visible = leader.update_session(request)
+            if replicated and request.consent:
+                self._replicate(prefs, request.session_key)
+            store_done = perf()
+            # The hedge delay is fixed *before* the leader runs — it
+            # models the timer armed when the request is dispatched.
+            hedge_delay = (
+                hedge_delay_seconds(deadline, self.policy.hedge_fraction)
+                if replicated and self.policy.hedge_enabled
+                else None
             )
-            if follower_id is not None:
-                with self._lock:
-                    self.hedges_fired += 1
-                follower = cluster.pods[follower_id]
-                hedge_started = perf()
-                hedged = follower.predict(
-                    visible, request.how_many, deadline=deadline
+            outcome = leader.predict(visible, request.how_many, deadline)
+            leader_elapsed = perf() - store_done
+            stats = leader.stats
+            stats.store_seconds += store_done - started
+            stats.predict_seconds += leader_elapsed
+            winner = leader
+            effective = leader_elapsed
+            if hedge_delay is not None and leader_elapsed > hedge_delay:
+                follower_id = self._hedge_target(
+                    prefs[0], prefs[1:], request.session_key
                 )
-                hedged_elapsed = hedge_delay + (perf() - hedge_started)
-                if hedged_elapsed < leader_elapsed:
+                if follower_id is not None:
                     with self._lock:
-                        self.hedge_wins += 1
-                    items, degraded, stage = hedged
-                    winner = follower
-                    effective = hedged_elapsed
-
-        elapsed = (store_done - started) + effective
-        winner.record_service(elapsed)
-        return RecommendationResponse(
-            session_key=request.session_key,
-            items=tuple(items),
-            served_by=winner.pod_id,
-            service_seconds=elapsed,
-            degraded=degraded,
-            served_stage=stage,
-        )
+                        self.hedges_fired += 1
+                    follower = cluster.pods[follower_id]
+                    hedge_started = perf()
+                    hedged = follower.predict(visible, request.how_many, deadline)
+                    follower_elapsed = perf() - hedge_started
+                    follower.stats.predict_seconds += follower_elapsed
+                    # The follower started late: its answer arrived at
+                    # hedge_delay + follower_elapsed.
+                    if hedge_delay + follower_elapsed < leader_elapsed:
+                        with self._lock:
+                            self.hedge_wins += 1
+                        outcome = hedged
+                        winner = follower
+                        effective = hedge_delay + follower_elapsed
+            elapsed = (store_done - started) + effective
+            stats = winner.stats
+            stats.requests += 1
+            stats.busy_seconds += elapsed
+            stats.service_times.append(elapsed)
+            return RecommendationResponse(
+                request.session_key,
+                tuple(outcome.items),
+                winner.pod_id,
+                elapsed,
+                outcome.degraded,
+                outcome.stage,
+            )
+        finally:
+            if admission is not None:
+                admission.release(token)
 
     def _hedge_target(
         self, leader_id: str, follower_ids: list[str], session_key: str

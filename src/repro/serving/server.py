@@ -3,9 +3,13 @@
 A :class:`RecommendationServer` owns a replica of the session-similarity
 index (wrapped in a recommender), a colocated :class:`SessionStore` for
 the evolving sessions of the users routed to it, and the business-rule
-engine. Handling a request is the paper's steps 2 and 3 in Figure 1:
-update the evolving session in the local store, run VMIS-kNN over the
-variant's view of the session, apply business rules, return 21 items.
+engine. Its two steps are the paper's steps 2 and 3 in Figure 1:
+:meth:`~RecommendationServer.update_session` updates the evolving session
+in the local store, :meth:`~RecommendationServer.predict` runs VMIS-kNN
+over the variant's view of it and applies the business rules. The request
+path that calls them, times them and answers is
+:meth:`repro.serving.ring.RingCoordinator.handle`, the same for a one-pod
+cluster and a replicated ring.
 """
 
 from __future__ import annotations
@@ -13,13 +17,13 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.core.deadline import Deadline
 from repro.core.predictor import SessionRecommender
 from repro.core.types import ItemId, ScoredItem
 from repro.kvstore.store import Clock
-from repro.serving.resilience import ResilientRecommender
+from repro.serving.resilience import ResilientRecommender, StageOutcome
 from repro.serving.rules import BusinessRules
 from repro.serving.session_store import SessionStore
 from repro.serving.variants import ServingVariant, session_view
@@ -31,8 +35,7 @@ OVERFETCH_FACTOR = 2  # fetch extra so business rules, when there are any, can d
 SERVICE_TIME_WINDOW = 10_000  # service times a pod keeps for percentiles
 
 
-@dataclass(frozen=True)
-class RecommendationRequest:
+class RecommendationRequest(NamedTuple):
     """One frontend call: a session update plus a recommendation ask."""
 
     session_key: str
@@ -42,13 +45,13 @@ class RecommendationRequest:
     how_many: int = FRONTEND_SLOT_SIZE
 
 
-@dataclass(frozen=True)
-class RecommendationResponse:
+class RecommendationResponse(NamedTuple):
     """The server's answer, including the measured compute time.
 
     ``degraded``/``served_stage`` report how the guardrail layer answered:
     ``primary`` means the full model ran inside its budget; any other
-    stage name means a fallback served the request.
+    stage name means a fallback served the request. Request and response
+    are tuples: immutable, and built in one step on every request.
     """
 
     session_key: str
@@ -67,7 +70,9 @@ class ServerStats:
     into the session read-modify-write against the local KV store and the
     VMIS-kNN prediction — the measurement behind the paper's colocation
     argument (§4.2: local session access is microseconds, so prediction
-    dominates; a networked store at ~15 ms would dwarf it).
+    dominates; a networked store at ~15 ms would dwarf it). The request
+    path reads the clock once per boundary, so ``store_seconds`` runs from
+    the request's start and also holds its admission and ring lookup.
     """
 
     requests: int = 0
@@ -83,17 +88,15 @@ class ServerStats:
 
 
 class RecommendationServer:
-    """One stateful serving pod."""
+    """One stateful serving pod: its index replica, store, rules, stats."""
 
     def __init__(
         self,
         pod_id: str,
         recommender: SessionRecommender,
         rules: BusinessRules | None = None,
-        session_ttl: float = 30 * 60,
         clock: Clock | None = None,
         wal_path: str | None = None,
-        perf_clock: Clock | None = None,
         replicate_sessions: bool = False,
         stall_sleep: SleepFn | None = None,
     ) -> None:
@@ -103,16 +106,11 @@ class RecommendationServer:
         # caller may add to the one it passed.
         self.rules = rules if rules is not None else BusinessRules()
         self.sessions = SessionStore(
-            ttl_seconds=session_ttl,
             clock=clock,
             wal_path=wal_path,
             replicate=replicate_sessions,
         )
         self.stats = ServerStats()
-        # Service-time measurement clock. Injectable so the deterministic
-        # simulation layer can measure *virtual* elapsed time instead of
-        # real CPU time, making latency assertions exact.
-        self._perf = perf_clock if perf_clock is not None else time.perf_counter
         #: chaos fault-injection knob (PodSlowdown): every prediction on
         #: this pod first stalls this long, modelling a straggler replica
         #: (GC pause, noisy neighbour). 0.0 = healthy.
@@ -139,88 +137,48 @@ class RecommendationServer:
         """Step 2 of Figure 1: the session read-modify-write.
 
         Returns the variant's view of the (possibly updated) session —
-        the input to :meth:`predict`. Exposed separately so the ring
+        the input to :meth:`predict`. Separate from it so the ring
         coordinator can run the leader's state update, replicate it, and
         only then race the prediction against a hedge.
         """
-        perf = self._perf
-        started = perf()
         if request.consent:
             items = self.sessions.append_click(request.session_key, request.item_id)
-            visible = session_view(items, request.variant, request.item_id)
-        else:
-            # No consent: do not touch stored state, recommend from the
-            # currently displayed item only (§4.2 depersonalisation).
-            self.stats.depersonalised_requests += 1
-            visible = session_view(
-                [], ServingVariant.DEPERSONALISED, request.item_id
-            )
-        self.stats.store_seconds += perf() - started
-        return visible
+            return session_view(items, request.variant, request.item_id)
+        # No consent: do not touch stored state, recommend from the
+        # currently displayed item only (§4.2 depersonalisation).
+        self.stats.depersonalised_requests += 1
+        return [request.item_id]
 
     def predict(
-        self,
-        visible: list[ItemId],
-        how_many: int,
-        deadline: Deadline | None = None,
-    ) -> tuple[list[ScoredItem], bool, str]:
+        self, visible: list[ItemId], how_many: int, deadline: Deadline
+    ) -> StageOutcome:
         """Step 3: model + business rules over a session view.
 
         Honours an injected chaos stall first (a straggler pod is slow at
-        *prediction*, not at its local state read). Returns the final item
-        list plus the ``(degraded, stage)`` annotation from the guardrail
-        layer. A caller-supplied deadline is propagated to a resilient
-        recommender so hedged follower calls run under the *remaining*
-        request budget instead of a fresh one.
+        *prediction*, not at its local state read). ``deadline`` is the
+        request's one budget, so a hedged follower call runs under what
+        is left of it. Returns the final items with the guardrail layer's
+        ``(stage, degraded)`` annotation; a pod without guardrails always
+        reports its primary.
         """
-        perf = self._perf
-        started = perf()
         if self.injected_stall_seconds > 0.0:
             self._stall_sleep(self.injected_stall_seconds)
+        recommender = self.recommender
+        rules = self.rules
         # Read per request: rules can be added to a live pod. Every stage
         # ranks deterministically, so with nothing to drop its top n are
         # the first n of its top 2n.
-        fetch = how_many * OVERFETCH_FACTOR if len(self.rules) > 0 else how_many
-        if isinstance(self.recommender, ResilientRecommender):
-            raw = self.recommender.recommend(
-                visible, how_many=fetch, deadline=deadline
-            )
+        fetch = how_many * OVERFETCH_FACTOR if len(rules) > 0 else how_many
+        if isinstance(recommender, ResilientRecommender):
+            outcome = recommender.run(visible, fetch, deadline)
         else:
-            raw = self.recommender.recommend(visible, how_many=fetch)
-        final = self.rules.apply(raw, visible, how_many)
-        self.stats.predict_seconds += perf() - started
-        # When the resilience layer wraps the recommender, annotate the
-        # response with how the request was actually served.
-        degraded, stage = False, "primary"
-        outcome_probe = getattr(self.recommender, "last_outcome", None)
-        if callable(outcome_probe):
-            outcome = outcome_probe()
-            if outcome is not None:
-                degraded, stage = outcome.degraded, outcome.stage
-        return final, degraded, stage
-
-    def record_service(self, elapsed: float) -> None:
-        """Account one served request against this pod's counters."""
-        self.stats.requests += 1
-        self.stats.busy_seconds += elapsed
-        self.stats.service_times.append(elapsed)
-
-    def handle(self, request: RecommendationRequest) -> RecommendationResponse:
-        """Process one request: update state, predict, filter."""
-        perf = self._perf
-        started = perf()
-        visible = self.update_session(request)
-        final, degraded, stage = self.predict(visible, request.how_many)
-        elapsed = perf() - started
-        self.record_service(elapsed)
-        return RecommendationResponse(
-            session_key=request.session_key,
-            items=tuple(final),
-            served_by=self.pod_id,
-            service_seconds=elapsed,
-            degraded=degraded,
-            served_stage=stage,
-        )
+            items = recommender.recommend(visible, how_many=fetch)
+            outcome = StageOutcome(items, "primary", False)
+        if fetch == how_many:
+            # Every stage answers a list of its own (a cache hit is a
+            # copy), so it is served as it came.
+            return outcome
+        return outcome._replace(items=rules.apply(outcome.items, visible, how_many))
 
     def revoke_consent(self, session_key: str) -> None:
         """Forget a session when the user revokes personalisation consent."""

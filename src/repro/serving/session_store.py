@@ -4,9 +4,13 @@ Each recommendation server keeps the evolving sessions of *its* users in a
 machine-local :class:`~repro.kvstore.KVStore`, so session reads and writes
 never cross the network — the colocation decision at the heart of
 Serenade's latency budget. Sessions expire after 30 minutes of inactivity,
-exactly the paper's RocksDB configuration; every update refreshes the TTL.
+exactly the paper's RocksDB configuration; every update refreshes the TTL,
+and every write carries up to :data:`EXPIRED_PER_WRITE` expired sessions
+out of the store, so a visitor who never returns leaves memory without a
+sweeper thread or a caller of :meth:`SessionStore.sweep_expired`.
 
-Values are struct-packed item-id arrays, keyed by the external session key.
+Values are struct-packed item-id arrays (one ``struct`` call per value),
+keyed by the external session key.
 
 Robustness properties layered on the seed behaviour:
 
@@ -47,23 +51,40 @@ from repro.kvstore.wal import OP_DELETE, OP_PUT, WalRecord, iter_records
 logger = logging.getLogger(__name__)
 
 SESSION_TTL_SECONDS = 30 * 60  # the paper's 30-minute inactivity window
+#: Expired sessions each write carries out of the store: more than the
+#: one a write can add, so a pod's memory holds its live sessions plus a
+#: backlog that every write shrinks (nothing sweeps a serving pod).
+EXPIRED_PER_WRITE = 2
 
-_ITEM = struct.Struct("<q")
+_ITEM_BYTES = 8  # one little-endian signed 64-bit id per item
+#: One compiled ``Struct`` per item count up to this, built on first use;
+#: a stored session holds at most ``max_items`` (100 by default).
+_CODEC_CACHE_LIMIT = 128
+_CODECS: dict[int, struct.Struct] = {}
+
+
+def _codec(count: int) -> struct.Struct:
+    """The struct that packs ``count`` item ids in one call."""
+    codec = _CODECS.get(count)
+    if codec is None:
+        codec = struct.Struct(f"<{count}q")
+        if count <= _CODEC_CACHE_LIMIT:
+            _CODECS[count] = codec
+    return codec
 
 
 def encode_items(items: Sequence[ItemId]) -> bytes:
     """Pack an item sequence into a fixed-width binary value."""
-    return b"".join(_ITEM.pack(item) for item in items)
+    count = len(items)
+    return (_CODECS.get(count) or _codec(count)).pack(*items)
 
 
 def decode_items(value: bytes) -> list[ItemId]:
     """Unpack a binary value back into the item sequence."""
-    if len(value) % _ITEM.size:
+    count, remainder = divmod(len(value), _ITEM_BYTES)
+    if remainder:
         raise ValueError(f"corrupt session value of {len(value)} bytes")
-    return [
-        _ITEM.unpack_from(value, offset)[0]
-        for offset in range(0, len(value), _ITEM.size)
-    ]
+    return list((_CODECS.get(count) or _codec(count)).unpack(value))
 
 
 @dataclass
@@ -148,10 +169,6 @@ class SessionStore:
 
     # -- mutation -------------------------------------------------------------
 
-    def _mirror(self, record: WalRecord) -> None:
-        if self._replicating:
-            self._repl_log += record.encode()
-
     def append_click(self, session_key: str, item_id: ItemId) -> list[ItemId]:
         """Record one interaction and return the updated item history.
 
@@ -168,7 +185,9 @@ class SessionStore:
             del items[: len(items) - self.max_items]
         encoded = encode_items(items)
         expire_at = self._store.put(key, encoded)
-        self._mirror(WalRecord(OP_PUT, key, encoded, expire_at))
+        self._store.expire_oldest(EXPIRED_PER_WRITE)
+        if self._replicating:
+            self._repl_log += WalRecord(OP_PUT, key, encoded, expire_at).encode()
         return items
 
     def put_session(
@@ -185,14 +204,17 @@ class SessionStore:
         key = session_key.encode("utf-8")
         encoded = encode_items(kept)
         expire_at = self._store.put(key, encoded)
-        self._mirror(WalRecord(OP_PUT, key, encoded, expire_at))
+        self._store.expire_oldest(EXPIRED_PER_WRITE)
+        if self._replicating:
+            self._repl_log += WalRecord(OP_PUT, key, encoded, expire_at).encode()
         return kept
 
     def drop_session(self, session_key: str) -> bool:
         """Forget a session immediately (e.g., consent revocation)."""
         key = session_key.encode("utf-8")
         existed = self._store.delete(key)
-        self._mirror(WalRecord(OP_DELETE, key))
+        if self._replicating:
+            self._repl_log += WalRecord(OP_DELETE, key).encode()
         return existed
 
     # -- replication tail -----------------------------------------------------
@@ -242,14 +264,16 @@ class SessionStore:
         consumed = 0
         now = self._store.now()
         for record in iter_records(data):
-            consumed += len(record.encode())
+            encoded = record.encode()
+            consumed += len(encoded)
             key_str = record.key.decode("utf-8")
             if key_filter is not None and not key_filter(key_str):
                 report.filtered += 1
                 continue
             if record.op == OP_DELETE:
                 self._store.delete(record.key)
-                self._mirror(record)
+                if self._replicating:
+                    self._repl_log += encoded
                 report.applied += 1
                 continue
             if record.expire_at != 0.0 and record.expire_at <= now:
@@ -257,9 +281,9 @@ class SessionStore:
                 continue
             ttl = record.expire_at - now if record.expire_at != 0.0 else None
             self._store.put(record.key, record.value, ttl=ttl)
-            self._mirror(
-                WalRecord(OP_PUT, record.key, record.value, record.expire_at)
-            )
+            self._store.expire_oldest(EXPIRED_PER_WRITE)
+            if self._replicating:
+                self._repl_log += encoded
             report.applied += 1
         report.torn = consumed < len(data)
         return report

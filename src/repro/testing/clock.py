@@ -5,7 +5,7 @@ Every time-dependent component of the serving stack takes an injectable
 :class:`~repro.core.deadline.Deadline`,
 :class:`~repro.serving.resilience.CircuitBreaker`,
 :class:`~repro.serving.resilience.AdmissionController`, the session-store
-TTLs, the per-pod service-time measurement (``perf_clock``) and the
+TTLs, the per-pod service-time measurement (a cluster's one ``clock``) and the
 rollout controller's ``sleep``. Injecting one shared
 :class:`VirtualClock` makes all of them advance only when the test says
 so: a "200 ms stall" is ``clock.advance(0.2)`` inside a fake recommender,

@@ -4,9 +4,8 @@
 machines of the serving stack and the :class:`~repro.testing.clock.VirtualClock`:
 
 * the wrapped :class:`~repro.serving.app.ServingCluster` gets the clock
-  as *both* its session-TTL clock and its ``perf_clock``, so deadlines,
-  circuit breakers, admission control and service-time measurement all
-  read virtual time;
+  as its one ``clock``, so session TTLs, deadlines, circuit breakers and
+  service-time measurement all read virtual time;
 * fallback stages run on the calling thread (the chain has no other
   mode), so a "slow" recommender models its stall by advancing the
   clock, which the deadline then observes;
@@ -68,7 +67,6 @@ class SimulatedCluster:
         cluster = ServingCluster.with_index(
             index,
             clock=clock,
-            perf_clock=clock,
             resilience=resilience,
             **kwargs,
         )

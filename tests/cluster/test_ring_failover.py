@@ -42,7 +42,6 @@ def ring_cluster(log, num_pods=3, policy=POLICY, clock=None, **kwargs):
         m=100,
         k=50,
         clock=clock,
-        perf_clock=clock,
         replication=policy,
         **kwargs,
     )
@@ -184,7 +183,6 @@ class _RingFailoverImpl:
             ),
             num_pods=3,
             clock=clock,
-            perf_clock=clock,
             replication=POLICY,
         )
         self._counter = 0

@@ -55,7 +55,7 @@ class TestSimulation:
                 return []
 
         slow_cluster = ServingCluster(
-            lambda: SlowRecommender(), num_pods=1, perf_clock=clock
+            lambda: SlowRecommender(), num_pods=1, clock=clock
         )
         simulator = ClusterSimulator(slow_cluster, cores_per_pod=1)
         arrivals = [

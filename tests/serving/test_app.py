@@ -123,7 +123,6 @@ class TestOneRequestPath:
             "static_items",
             "wal_dir",
             "index_version",
-            "perf_clock",
             "replication",
         ]
         knobs = inspect.signature(RecommendationServer).parameters
@@ -368,7 +367,7 @@ class TestBatchServing:
         import threading
 
         knobs = list(inspect.signature(ServingCluster).parameters)
-        assert len(knobs) == 12
+        assert len(knobs) == 11
         assert not [name for name in knobs if "workers" in name]
         scoring_threads = []
 

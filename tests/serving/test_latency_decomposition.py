@@ -6,16 +6,20 @@ import pytest
 
 from repro.core.index import SessionIndex
 from repro.core.vmis import VMISKNN
-from repro.serving.server import RecommendationRequest, RecommendationServer
+from repro.serving.app import ServingCluster
+from repro.serving.server import RecommendationRequest
+
+
+def one_pod(recommender) -> ServingCluster:
+    return ServingCluster(lambda: recommender, num_pods=1)
 
 
 class TestLatencyDecomposition:
     def test_store_and_predict_times_accumulate(self, toy_index):
-        server = RecommendationServer(
-            "pod", VMISKNN(toy_index, m=10, k=10)
-        )
+        cluster = one_pod(VMISKNN(toy_index, m=10, k=10))
+        [server] = cluster.pods.values()
         for item in (1, 2, 4):
-            server.handle(RecommendationRequest("u", item))
+            cluster.handle(RecommendationRequest("u", item))
         assert server.stats.store_seconds > 0
         assert server.stats.predict_seconds > 0
         assert (
@@ -27,11 +31,12 @@ class TestLatencyDecomposition:
         """§4.2: with colocated state, session access is microseconds and
         prediction dominates the request — the design's whole point."""
         index = SessionIndex.from_clicks(medium_log, max_sessions_per_item=200)
-        server = RecommendationServer("pod", VMISKNN(index, m=200, k=100))
+        cluster = one_pod(VMISKNN(index, m=200, k=100))
+        [server] = cluster.pods.values()
         sequences = list(medium_log.session_item_sequences().values())[:50]
         for number, sequence in enumerate(sequences):
             for item in sequence:
-                server.handle(RecommendationRequest(f"user-{number}", item))
+                cluster.handle(RecommendationRequest(f"user-{number}", item))
         stats = server.stats
         assert stats.requests > 100
         # Local KV access must be well under half of the compute time.

@@ -319,10 +319,9 @@ class TestDeadlineEnforcement:
         degraded = 0
         for _ in range(25):
             started = clock.now
-            items = recommender.recommend([1, 2, 3], how_many=10)
+            outcome = recommender.run([1, 2, 3], 10, policy.budget(clock))
             elapsed.append(clock.now - started)
-            assert items  # always an answer
-            outcome = recommender.last_outcome()
+            assert outcome.items  # always an answer
             if outcome.degraded:
                 degraded += 1
         # Healthy calls advance the clock by exactly nothing; stalled
@@ -350,8 +349,7 @@ class TestDeadlineEnforcement:
             recommender = ResilientRecommender(chain, policy, clock=clock)
             trace = []
             for _ in range(12):
-                recommender.recommend([1, 2], how_many=5)
-                outcome = recommender.last_outcome()
+                outcome = recommender.run([1, 2], 5, policy.budget(clock))
                 trace.append((outcome.stage, outcome.deadline_exceeded,
                               clock.now))
             info = recommender.info()
@@ -393,8 +391,8 @@ class TestRealClock:
         # The stalled calls cannot be abandoned: each overruns, is counted
         # as a deadline timeout, and gets the terminal's answer.
         for _ in range(policy.breaker_min_calls):
-            assert recommender.recommend([1, 2], how_many=5)
-            outcome = recommender.last_outcome()
+            outcome = recommender.run([1, 2], 5, policy.budget())
+            assert outcome.items
             assert outcome.deadline_exceeded and outcome.degraded
             assert outcome.stage == "static-rules"
         assert recommender.info()["deadline_timeouts"] == policy.breaker_min_calls
@@ -404,9 +402,9 @@ class TestRealClock:
         # Every later request skips the primary and is inside the budget.
         for _ in range(20):
             started = time.monotonic()
-            assert recommender.recommend([1, 2], how_many=5)
+            outcome = recommender.run([1, 2], 5, policy.budget())
+            assert outcome.items
             assert time.monotonic() - started < policy.budget_ms / 1000.0
-            outcome = recommender.last_outcome()
             assert outcome.degraded and not outcome.deadline_exceeded
             assert outcome.stage == "popularity"
         assert primary.calls == policy.breaker_min_calls
@@ -415,8 +413,8 @@ class TestRealClock:
         # A healthy primary closes the breaker again at the next probe.
         primary.stall_seconds = 0.0
         time.sleep(policy.breaker_probe_seconds)
-        assert recommender.recommend([1, 2], how_many=5)
-        outcome = recommender.last_outcome()
+        outcome = recommender.run([1, 2], 5, policy.budget())
+        assert outcome.items
         assert outcome.stage == "primary" and not outcome.degraded
         assert chain.breaker_states()["primary"] is BreakerState.CLOSED
         recommender.close()
@@ -433,12 +431,12 @@ class TestResilientRecommender:
         assert len(batches) == 2
         recommender.close()
 
-    def test_counters_and_last_outcome(self):
+    def test_counters_and_returned_outcome(self):
         chain = make_chain(FlakyRecommender(fail_every=2))
         recommender = ResilientRecommender(chain)
         recommender.recommend([1])   # primary ok
-        recommender.recommend([1])   # primary raises -> popularity
-        outcome = recommender.last_outcome()
+        # primary raises -> popularity
+        outcome = recommender.run([1], 21, recommender.policy.budget())
         assert outcome.stage == "popularity" and outcome.degraded
         info = recommender.info()
         assert info["requests"] == 2
@@ -450,20 +448,17 @@ class TestResilientRecommender:
     def test_from_index_chain(self, toy_index):
         chain = FallbackChain.from_index(AlwaysFailing(), toy_index)
         recommender = ResilientRecommender(chain)
-        items = recommender.recommend([1], how_many=3)
-        assert items  # popularity fallback answered
-        assert recommender.last_outcome().stage == "popularity"
+        outcome = recommender.run([1], 3, recommender.policy.budget())
+        assert outcome.items  # popularity fallback answered
+        assert outcome.stage == "popularity"
         recommender.close()
 
 
 class TestAdmissionController:
     def test_sheds_oldest_first(self):
-        clock = VirtualClock()
-        admission = AdmissionController(capacity=2, clock=clock)
+        admission = AdmissionController(capacity=2)
         first = admission.submit("s1")
-        clock.advance(0.01)
         second = admission.submit("s2")
-        clock.advance(0.01)
         third = admission.submit("s3")  # over capacity: s1 is shed
         assert first.shed
         assert not second.shed and not third.shed

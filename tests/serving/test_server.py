@@ -1,4 +1,5 @@
-"""Tests for the stateful recommendation server."""
+"""Tests for the stateful recommendation server, driven through the one
+request path: a one-pod cluster's ``handle``."""
 
 from __future__ import annotations
 
@@ -13,27 +14,36 @@ from repro.serving.server import (
     FRONTEND_SLOT_SIZE,
     OVERFETCH_FACTOR,
     RecommendationRequest,
-    RecommendationServer,
 )
 from repro.serving.variants import ServingVariant
 
 
+def one_pod(recommender, rules=None) -> ServingCluster:
+    """A cluster of one pod serving ``recommender`` as it is."""
+    return ServingCluster(lambda: recommender, num_pods=1, rules=rules)
+
+
 @pytest.fixture()
-def server(toy_index):
-    recommender = VMISKNN(toy_index, m=10, k=10, exclude_current_items=True)
-    return RecommendationServer("pod-test", recommender)
+def cluster(toy_index):
+    return one_pod(VMISKNN(toy_index, m=10, k=10, exclude_current_items=True))
+
+
+@pytest.fixture()
+def server(cluster):
+    [pod] = cluster.pods.values()
+    return pod
 
 
 class TestRequestHandling:
-    def test_response_has_slot_size_limit(self, server):
-        response = server.handle(RecommendationRequest("u1", 1))
+    def test_response_has_slot_size_limit(self, cluster, server):
+        response = cluster.handle(RecommendationRequest("u1", 1))
         assert len(response.items) <= FRONTEND_SLOT_SIZE
-        assert response.served_by == "pod-test"
+        assert response.served_by == server.pod_id
         assert response.service_seconds > 0
 
-    def test_session_state_accumulates(self, server):
-        server.handle(RecommendationRequest("u1", 1))
-        server.handle(RecommendationRequest("u1", 2))
+    def test_session_state_accumulates(self, cluster, server):
+        cluster.handle(RecommendationRequest("u1", 1))
+        cluster.handle(RecommendationRequest("u1", 2))
         assert server.sessions.get_session("u1") == [1, 2]
 
     def test_variant_controls_visible_history(self, toy_index):
@@ -44,15 +54,15 @@ class TestRequestHandling:
                 calls.append(list(session_items))
                 return []
 
-        server = RecommendationServer("pod", SpyRecommender())
-        server.handle(RecommendationRequest("u", 1, variant=ServingVariant.FULL))
-        server.handle(RecommendationRequest("u", 2, variant=ServingVariant.HIST))
-        server.handle(RecommendationRequest("u", 3, variant=ServingVariant.RECENT))
+        cluster = one_pod(SpyRecommender())
+        cluster.handle(RecommendationRequest("u", 1, variant=ServingVariant.FULL))
+        cluster.handle(RecommendationRequest("u", 2, variant=ServingVariant.HIST))
+        cluster.handle(RecommendationRequest("u", 3, variant=ServingVariant.RECENT))
         assert calls == [[1], [1, 2], [3]]
 
-    def test_stats_counted(self, server):
+    def test_stats_counted(self, cluster, server):
         for item in (1, 2, 4):
-            server.handle(RecommendationRequest("u", item))
+            cluster.handle(RecommendationRequest("u", item))
         assert server.stats.requests == 3
         assert len(server.stats.service_times) == 3
         assert server.stats.busy_seconds > 0
@@ -69,17 +79,17 @@ class TestRequestHandling:
 
 
 class TestDepersonalisation:
-    def test_no_consent_does_not_touch_state(self, server):
-        server.handle(RecommendationRequest("u1", 1, consent=False))
+    def test_no_consent_does_not_touch_state(self, cluster, server):
+        cluster.handle(RecommendationRequest("u1", 1, consent=False))
         assert server.sessions.get_session("u1") is None
         assert server.stats.depersonalised_requests == 1
 
-    def test_no_consent_still_recommends(self, server):
-        response = server.handle(RecommendationRequest("u1", 1, consent=False))
+    def test_no_consent_still_recommends(self, cluster):
+        response = cluster.handle(RecommendationRequest("u1", 1, consent=False))
         assert isinstance(response.items, tuple)
 
-    def test_revoke_consent_drops_session(self, server):
-        server.handle(RecommendationRequest("u1", 1))
+    def test_revoke_consent_drops_session(self, cluster, server):
+        cluster.handle(RecommendationRequest("u1", 1))
         server.revoke_consent("u1")
         assert server.sessions.get_session("u1") is None
 
@@ -87,19 +97,17 @@ class TestDepersonalisation:
 class TestBusinessRulesIntegration:
     def test_unavailable_items_filtered(self, toy_index):
         recommender = VMISKNN(toy_index, m=10, k=10)
-        unfiltered = RecommendationServer("p", recommender)
+        unfiltered = one_pod(recommender)
         all_items = {
             s.item_id
             for s in unfiltered.handle(RecommendationRequest("u", 1)).items
         }
         assert all_items, "need a non-empty baseline for this test"
         blocked = next(iter(all_items))
-        filtered_server = RecommendationServer(
-            "p2",
-            recommender,
-            rules=BusinessRules([exclude_unavailable({blocked})]),
+        filtered = one_pod(
+            recommender, rules=BusinessRules([exclude_unavailable({blocked})])
         )
-        response = filtered_server.handle(RecommendationRequest("u", 1))
+        response = filtered.handle(RecommendationRequest("u", 1))
         assert blocked not in {s.item_id for s in response.items}
 
     def test_index_rollout_swaps_recommender(self, server, toy_index):
@@ -126,25 +134,23 @@ class TestFetchPolicy:
 
     def test_no_rule_asks_for_exactly_how_many(self, toy_index):
         spy = _Spy(VMISKNN(toy_index, m=10, k=10))
-        server = RecommendationServer("pod", spy)
-        server.handle(RecommendationRequest("u", 1, how_many=3))
+        cluster = one_pod(spy)
+        cluster.handle(RecommendationRequest("u", 1, how_many=3))
         assert spy.asked == [3]
 
     def test_one_rule_asks_for_the_overfetch(self, toy_index):
         spy = _Spy(VMISKNN(toy_index, m=10, k=10))
-        server = RecommendationServer(
-            "pod", spy, rules=BusinessRules([exclude_unavailable({99})])
-        )
-        server.handle(RecommendationRequest("u", 1, how_many=3))
+        cluster = one_pod(spy, rules=BusinessRules([exclude_unavailable({99})]))
+        cluster.handle(RecommendationRequest("u", 1, how_many=3))
         assert spy.asked == [3 * OVERFETCH_FACTOR]
 
     def test_rule_count_is_read_per_request(self, toy_index):
         spy = _Spy(VMISKNN(toy_index, m=10, k=10))
         rules = BusinessRules()
-        server = RecommendationServer("pod", spy, rules=rules)
-        server.handle(RecommendationRequest("u", 1, how_many=3))
+        cluster = one_pod(spy, rules=rules)
+        cluster.handle(RecommendationRequest("u", 1, how_many=3))
         rules.add(exclude_unavailable({99}))
-        server.handle(RecommendationRequest("u", 2, how_many=3))
+        cluster.handle(RecommendationRequest("u", 2, how_many=3))
         assert spy.asked == [3, 3 * OVERFETCH_FACTOR]
 
     def test_callers_empty_rule_set_is_kept(self, toy_index):

@@ -2,9 +2,32 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serving.session_store import SessionStore, decode_items, encode_items
+
+_ITEM = struct.Struct("<q")
+
+
+def encode_per_item(items):
+    """The codec as it was: one ``struct`` call per item."""
+    return b"".join(_ITEM.pack(item) for item in items)
+
+
+def decode_per_item(value):
+    if len(value) % _ITEM.size:
+        raise ValueError(f"corrupt session value of {len(value)} bytes")
+    return [
+        _ITEM.unpack_from(value, offset)[0]
+        for offset in range(0, len(value), _ITEM.size)
+    ]
+
+
+sessions = st.lists(st.integers(-(2**63), 2**63 - 1), max_size=100)
 
 
 class FakeClock:
@@ -26,6 +49,26 @@ class TestEncoding:
     def test_corrupt_length_rejected(self):
         with pytest.raises(ValueError):
             decode_items(b"\x01\x02\x03")
+
+    @settings(max_examples=300, deadline=None)
+    @given(sessions)
+    def test_one_call_codec_writes_the_per_item_bytes(self, items):
+        encoded = encode_items(items)
+        assert encoded == encode_per_item(items)
+        assert decode_items(encoded) == decode_per_item(encoded) == items
+
+    @given(sessions, st.integers(1, 7))
+    def test_every_corrupt_length_is_rejected(self, items, extra):
+        value = encode_per_item(items) + b"\x00" * extra
+        with pytest.raises(ValueError):
+            decode_items(value)
+        with pytest.raises(ValueError):
+            decode_per_item(value)
+
+    def test_longer_than_the_cap_still_packs(self):
+        items = list(range(1000))
+        assert encode_items(items) == encode_per_item(items)
+        assert decode_items(encode_items(items)) == items
 
 
 class TestSessionLifecycle:
@@ -85,6 +128,48 @@ class TestInactivityExpiry:
         clock.now = 31 * 60
         assert store.sweep_expired() == 2
         assert len(store) == 0
+
+
+class TestIdleSessionsLeave:
+    """A visitor who never comes back must not stay in a serving pod's
+    memory: nothing may grow with uptime, and no caller sweeps."""
+
+    K = 500
+
+    def test_writes_carry_expired_sessions_out(self):
+        clock = FakeClock()
+        store = SessionStore(clock=clock)
+        for number in range(self.K):
+            store.append_click(f"gone-{number}", number)
+        clock.now = 31 * 60  # every one of them past its 30-minute TTL
+        for number in range(self.K):
+            store.append_click(f"new-{number}", number)
+        assert len(store) <= self.K
+        assert store.get_session("new-0") == [0]
+        assert store.get_session("gone-0") is None
+
+    def test_a_returning_visitor_is_not_carried_out(self):
+        clock = FakeClock()
+        store = SessionStore(clock=clock)
+        store.append_click("back", 1)
+        store.append_click("idle", 2)
+        clock.now = 20 * 60
+        store.append_click("back", 3)  # refreshed: now the newest write
+        clock.now = 40 * 60  # "idle" expired at 30, "back" lives to 50
+        store.append_click("later", 4)
+        assert store.get_session("back") == [1, 3]
+        assert len(store) == 2
+
+    def test_work_per_write_is_bounded(self):
+        """A write carries out at most a few expired sessions, so a burst
+        of expiries is paid over the writes after it, not by one."""
+        clock = FakeClock()
+        store = SessionStore(clock=clock)
+        for number in range(self.K):
+            store.append_click(f"gone-{number}", number)
+        clock.now = 31 * 60
+        store.append_click("first", 1)
+        assert len(store) >= self.K - 8
 
 
 class TestCorruptionTolerance:

@@ -226,7 +226,7 @@ class TestBackpressure:
     def test_lag_resizes_admission_and_recovers(self):
         log = PartitionedLog(num_partitions=1)
         producer = ClickProducer(log, "p")
-        admission = AdmissionController(capacity=64, clock=lambda: 0.0)
+        admission = AdmissionController(capacity=64)
         pipeline = make_pipeline(
             log,
             gap=10.0,

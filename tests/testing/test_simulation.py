@@ -131,7 +131,6 @@ class TestVirtualStalls:
             num_pods=1,
             resilience=policy,
             clock=clock,
-            perf_clock=clock,
             static_items=(ScoredItem(9, 1.0), ScoredItem(8, 0.5)),
         )
         sim = SimulatedCluster(cluster, clock)
