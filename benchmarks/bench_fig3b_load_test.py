@@ -130,12 +130,12 @@ def test_fig3b_batched_throughput(bench_index_m500, bench_split):
     sees only the last two session items, so sustained traffic repeats the
     same small set of suffixes over and over. We replay the held-out day's
     prediction steps through that view for ``REPLAY_EPOCHS`` passes, once
-    serially through ``recommend`` and once through a cached, threaded
+    serially through ``recommend`` and once through a cached
     :class:`BatchPredictionEngine`, and compare throughput.
 
-    On this single-core runner the speedup comes from the LRU result cache
-    (the report states the hit rate); worker threads additionally overlap
-    on multi-core hardware.
+    The engine scores on the calling thread, so the speedup comes from the
+    LRU result cache and intra-batch deduplication (the report states the
+    hit rate).
     """
     model = VMISKNN(bench_index_m500, m=500, k=100, exclude_current_items=True)
 
@@ -150,9 +150,7 @@ def test_fig3b_batched_throughput(bench_index_m500, bench_split):
     serial_results = [model.recommend(view, how_many=how_many) for view in views]
     serial_seconds = time.perf_counter() - started
 
-    with BatchPredictionEngine(
-        model, num_workers=4, cache_size=8192
-    ) as engine:
+    with BatchPredictionEngine(model, cache_size=8192) as engine:
         started = time.perf_counter()
         batched_results: list = []
         for start in range(0, len(views), BATCH_SIZE):
@@ -186,14 +184,14 @@ def test_fig3b_batched_throughput(bench_index_m500, bench_split):
         f"serial recommend(): {serial_rps:,.0f} rps ({serial_seconds:.2f} s)"
     )
     report.note(
-        f"batched engine (4 workers, cache 8192): {batched_rps:,.0f} rps "
+        f"batched engine (cache 8192): {batched_rps:,.0f} rps "
         f"({batched_seconds:.2f} s)"
     )
     report.note(
         f"throughput: {speedup:.1f}x serial "
         f"(cache hit rate {cache['hit_rate']:.1%}, "
         f"{cache['hits']}/{cache['hits'] + cache['misses']} lookups; "
-        "single-core runner, so the gain is cache-driven)"
+        "the gain is cache-driven)"
     )
     report.metric("serial_rps", serial_rps, "rps", HIGHER)
     report.metric("batched_rps", batched_rps, "rps", HIGHER)

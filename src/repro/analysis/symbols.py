@@ -6,7 +6,8 @@ hoisted here when the dataflow engine arrived, because the call graph,
 the buffer rules and the summaries all need the same facts:
 
 * :func:`collect_class_info` — one :class:`ClassInfo` per class:
-  declared locks, ``@guarded_by``/``@holds_lock`` metadata,
+  declared locks, ``@guarded_by``/``@holds_lock`` metadata (a subclass
+  of a class in the same module inherits its locks and guarded state),
   ``@frozen_buffers``/``@happens_before`` contracts, methods, and the
   ``self.attr`` → class-name type hints used for alias-aware call
   resolution;
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
     from repro.analysis.engine import ParsedModule
@@ -215,4 +216,32 @@ def collect_class_info(module: "ParsedModule") -> list[ClassInfo]:
                     elif isinstance(value, ast.Name) and value.id in param_types:
                         info.attr_types.setdefault(attr, param_types[value.id])
         infos.append(info)
+    _inherit_lock_declarations(infos)
     return infos
+
+
+def _inherit_lock_declarations(infos: list[ClassInfo]) -> None:
+    """Give each class the ``@guarded_by`` attributes and the lock
+    attributes of its bases defined in the same module, so a subclass
+    method touching inherited guarded state is checked like the base's.
+    What a class declares or assigns itself wins over what it inherits.
+    """
+    by_name = {info.name: info for info in infos}
+
+    def ancestors(info: ClassInfo, seen: set[str]) -> Iterator[ClassInfo]:
+        for base in info.node.bases:
+            parent = by_name.get(base.id) if isinstance(base, ast.Name) else None
+            if parent is not None and parent.name not in seen:
+                seen.add(parent.name)
+                yield parent
+                yield from ancestors(parent, seen)
+
+    # Every chain is read before any class is widened.
+    inherited = [(info, list(ancestors(info, {info.name}))) for info in infos]
+    own_locks = {info.name: info.all_locks for info in infos}
+    for info, parents in inherited:
+        for parent in parents:
+            for attr, lock in parent.guarded.items():
+                info.guarded.setdefault(attr, lock)
+            info.lock_attrs |= parent.lock_attrs - own_locks[info.name]
+            info.rlock_attrs |= parent.rlock_attrs - own_locks[info.name]

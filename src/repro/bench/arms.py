@@ -423,9 +423,9 @@ def run_fig3b(
             serial.merge_best(probe)
     assert serial is not None
 
-    # Sustained throughput through the cached, threaded engine.
+    # Sustained throughput through the cached engine, on this thread.
     batch_size = 256
-    with BatchPredictionEngine(model, num_workers=2, cache_size=8192) as engine:
+    with BatchPredictionEngine(model, cache_size=8192) as engine:
         started = clock()
         for start in range(0, len(views), batch_size):
             engine.recommend_batch(views[start : start + batch_size], how_many=21)
@@ -456,7 +456,7 @@ def run_fig3b(
         notes=(
             f"{len(views)} serenade-hist requests, serial latency best of "
             f"{profile.rounds} rounds; throughput via BatchPredictionEngine "
-            f"(2 workers, cache 8192, hit rate {cache['hit_rate']:.1%})",
+            f"(inline, cache 8192, hit rate {cache['hit_rate']:.1%})",
         ),
     )
 

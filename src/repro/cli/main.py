@@ -85,7 +85,6 @@ def _sessionize_arguments(parser: argparse.ArgumentParser) -> None:
 def _build_index_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("clicks", help="click log TSV")
     parser.add_argument("--m", type=int, default=500, help="postings per item")
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", required=True, help="index artifact path")
 
 
@@ -125,12 +124,6 @@ def _evaluate_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=0,
         help="replay through recommend_batch in chunks (0 = serial)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="batch engine worker threads (0 = inline)",
     )
     parser.add_argument(
         "--cache-size",
@@ -496,20 +489,13 @@ def cmd_sessionize(args) -> int:
 
 
 def cmd_build_index(args) -> int:
+    from repro.core.index import SessionIndex
     from repro.data.clicklog import ClickLog
-    from repro.index.builder import IndexBuilder
-    from repro.index.parallel import build_index_parallel
     from repro.index.serialization import save_index
 
     log = ClickLog.from_tsv(args.clicks)
     started = time.perf_counter()
-    if args.workers > 1:
-        index = build_index_parallel(
-            list(log), max_sessions_per_item=args.m, num_workers=args.workers
-        )
-    else:
-        builder = IndexBuilder(max_sessions_per_item=args.m)
-        index = builder.build(list(log))
+    index = SessionIndex.from_clicks(list(log), max_sessions_per_item=args.m)
     elapsed = time.perf_counter() - started
     size = save_index(index, args.out)
     print(
@@ -582,10 +568,7 @@ def cmd_evaluate(args) -> int:
         clicks=list(split.train),
     )
     if args.batch_size > 0:
-        engine = BatchPredictionEngine(
-            model, num_workers=args.workers, cache_size=args.cache_size
-        )
-        with engine:
+        with BatchPredictionEngine(model, cache_size=args.cache_size) as engine:
             result = evaluate_next_item_batched(
                 engine,
                 split.test_sequences(),

@@ -1,10 +1,6 @@
 """Core algorithms: the session index, VS-kNN and VMIS-kNN."""
 
-from repro.core.batch import (
-    BatchPredictionEngine,
-    LRUResultCache,
-    shard_index,
-)
+from repro.core.batch import BatchPredictionEngine, LRUResultCache
 from repro.core.colindex import ColumnarSessionIndex, VMISKNNColumnar
 from repro.core.heaps import BoundedTopK, DAryMinHeap, MostRecentTracker
 from repro.core.index import SessionIndex
@@ -59,7 +55,6 @@ __all__ = [
     "VSKNN",
     "batch_via_loop",
     "decay_weights",
-    "shard_index",
     "resolve_decay",
     "resolve_match_weight",
     "score_items",

@@ -13,7 +13,8 @@ The surface has three methods:
   list per session out, in input order. Every recommender supports it;
   :class:`BatchMixin` supplies the correct default (a loop over
   ``recommend``), and :class:`repro.core.batch.BatchPredictionEngine`
-  overrides it with the sharded parallel path.
+  wraps a recommender's own with a result cache and intra-batch
+  deduplication.
 * ``fit(clicks)`` (``TrainableRecommender`` only) — train on a historical
   click log and return self. Every trainable recommender also exposes the
   equivalent one-shot spelling ``from_clicks(clicks, **kwargs)``;

@@ -153,9 +153,9 @@ class VMISKNN(BatchMixin):
 
         ``session_items`` must already be capped by the caller — this is
         the one place the session-length cap must NOT be reapplied, so that
-        ``recommend`` caps exactly once. Exposed (privately) because the
-        sharded batch engine runs this per index shard and merges the
-        resulting candidate maps.
+        ``recommend`` caps exactly once. Kept apart from the top-k
+        selection because the differential oracle reads the whole map to
+        find where the k-th neighbour cut falls.
 
         The body binds index arrays, the similarity hashmap and the heap
         primitives to locals: this loop runs once per posting and is the

@@ -119,8 +119,8 @@ def evaluate_next_item_batched(
     Visits the exact prediction steps of :func:`evaluate_next_item` in the
     same order, so the averaged metrics are identical; only the execution
     strategy differs. With a :class:`~repro.core.batch.BatchPredictionEngine`
-    this parallelises the replay of hundreds of thousands of test sessions
-    across workers and reuses cached hot prefixes.
+    the replay scores each distinct prefix of a chunk once and reuses
+    cached hot prefixes.
 
     Recommenders lacking ``recommend_batch`` (pre-batch-API third-party
     models) fall back to a loop of ``recommend``.

@@ -39,7 +39,6 @@ if TYPE_CHECKING:
         ValidationReport,
     )
     from repro.index.maintenance import IncrementalIndexer, rebuild_equivalent
-    from repro.index.parallel import ParallelIndexBuilder, build_index_parallel
     from repro.index.serialization import (
         deserialize_artifact,
         deserialize_columnar,
@@ -82,7 +81,6 @@ _EXPORTS = {
         "ValidationReport",
     ),
     "repro.index.maintenance": ("IncrementalIndexer", "rebuild_equivalent"),
-    "repro.index.parallel": ("ParallelIndexBuilder", "build_index_parallel"),
     "repro.index.serialization": (
         "deserialize_artifact",
         "deserialize_columnar",

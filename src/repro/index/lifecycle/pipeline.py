@@ -24,7 +24,6 @@ from typing import Iterable, Sequence
 from repro.core.index import SessionIndex
 from repro.core.types import Click, ItemId
 from repro.core.vmis import VMISKNN
-from repro.index.builder import IndexBuilder
 from repro.index.lifecycle.gate import CanaryQualityGate, GatePolicy, GateReport
 from repro.index.lifecycle.registry import (
     IndexManifest,
@@ -95,17 +94,16 @@ class DailyIndexLifecycle:
         clean, report = validator.validate(clicks)
         if not report.acceptable(self.ingestion_policy):
             return None, report
-        builder = IndexBuilder(max_sessions_per_item=self.max_sessions_per_item)
-        index = builder.build(clean)
-        build_stats = {}
-        if builder.last_report is not None:
-            stats = builder.last_report
-            build_stats = {
-                "input_clicks": stats.input_clicks,
-                "sessions": stats.sessions,
-                "postings_after_truncation": stats.postings_after_truncation,
-                "distinct_items": stats.distinct_items,
-            }
+        index = SessionIndex.from_clicks(
+            clean, max_sessions_per_item=self.max_sessions_per_item
+        )
+        profile = index.memory_profile()
+        build_stats = {
+            "input_clicks": len(clean),
+            "sessions": profile["num_sessions"],
+            "postings_after_truncation": profile["posting_entries"],
+            "distinct_items": profile["num_items"],
+        }
         manifest = self.registry.register(
             index,
             build_stats=build_stats,

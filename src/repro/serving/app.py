@@ -187,7 +187,7 @@ class ServingCluster:
         recommender = (base_factory or self._factory)()
         if self._cache_size > 0:
             recommender = BatchPredictionEngine(
-                recommender, num_workers=0, cache_size=self._cache_size
+                recommender, cache_size=self._cache_size
             )
         if self.resilience is not None:
             recommender = ResilientRecommender(
@@ -342,16 +342,12 @@ class ServingCluster:
     def batch_engine(self) -> BatchPredictionEngine:
         """The lazily built cluster-level batch engine.
 
-        It computes inline (no pool): the scorer holds the interpreter
-        lock, so a thread pool only adds hand-offs — neutral on one
-        core, 2x slower on two. The engine still buys the LRU cache and
+        It scores on the calling thread and buys the LRU cache and
         intra-batch deduplication.
         """
         if self._batch_engine is None:
             self._batch_engine = BatchPredictionEngine(
-                self._factory(),
-                num_workers=0,
-                cache_size=self._cache_size or 4096,
+                self._factory(), cache_size=self._cache_size or 4096
             )
         return self._batch_engine
 

@@ -8,8 +8,8 @@ Three pillars, one per module:
   bursts, bots. :mod:`repro.testing.strategies` exposes the same shapes
   as Hypothesis strategies plus pinned CI profiles.
 * :mod:`repro.testing.oracle` — the differential oracle: replay one
-  workload through VS-kNN, VMIS-kNN (both variants), the batch engine
-  (both shard strategies) and the study backends, diff the outputs, and
+  workload through VS-kNN, VMIS-kNN (both variants), the columnar
+  scorer, the batch engine and the study backends, diff the outputs, and
   ddmin-shrink any divergence to a minimal JSON repro under
   ``tests/regressions/``.
 * :mod:`repro.testing.clock` / :mod:`repro.testing.simulation` — a

@@ -13,8 +13,8 @@ Two comparison strengths, matched to what each implementation promises:
   :class:`~repro.core.colindex.VMISKNNColumnar` (the vectorized scorer,
   asked per query and, as ``vmis-columnar-batch``, once for the whole
   query list through its fused ``recommend_batch``)
-  vs :class:`~repro.core.batch.BatchPredictionEngine` with both shard
-  strategies. These are documented as exactly equivalent, including
+  vs :class:`~repro.core.batch.BatchPredictionEngine` (``batch-sessions``,
+  cache off). These are documented as exactly equivalent, including
   floating-point summation order and all tie-breaking.
 * **rank-exact** — the :mod:`repro.engines` study backends (hashmap /
   dataflow / sqlengine), which guarantee the same top-k *items* only
@@ -173,17 +173,7 @@ def _core_implementations() -> dict[str, ImplFactory]:
     def batch_sessions(
         clicks: list[Click], p: HyperParams
     ) -> BatchPredictionEngine:
-        return BatchPredictionEngine(
-            vmis(clicks, p), num_workers=0, cache_size=0
-        )
-
-    def batch_index(clicks: list[Click], p: HyperParams) -> BatchPredictionEngine:
-        return BatchPredictionEngine(
-            vmis(clicks, p),
-            num_workers=2,
-            shard_strategy="index",
-            cache_size=0,
-        )
+        return BatchPredictionEngine(vmis(clicks, p), cache_size=0)
 
     return {
         REFERENCE: vsknn,
@@ -192,7 +182,6 @@ def _core_implementations() -> dict[str, ImplFactory]:
         "vmis-columnar": vmis_columnar,
         "vmis-columnar-batch": vmis_columnar,
         "batch-sessions": batch_sessions,
-        "batch-index": batch_index,
     }
 
 

@@ -78,3 +78,23 @@ class Reenter:
     def inner(self):
         with self._lock:
             pass
+
+
+@guarded_by("_lock", "_values")
+class Series:
+    """Declares its lock and the state it guards once, for subclasses too."""
+
+    def __init__(self):
+        self._values = {}
+        self._lock = threading.Lock()
+
+
+class Tally(Series):
+    """Inherits Series' declarations, so its own methods are checked."""
+
+    def add_bad(self, key):
+        self._values[key] = 1  # violation: inherited guarded state lock-free
+
+    def add_good(self, key):
+        with self._lock:
+            self._values[key] = 1

@@ -105,6 +105,21 @@ def test_srn004_detects_guarded_access_and_holds_lock_misuse():
     assert any("not reentrant" in m for m in messages)
 
 
+def test_srn004_subclass_inherits_the_base_lock_declarations():
+    """A subclass of a guarded class in the same module is held to the
+    base's ``@guarded_by``: lock-free access is flagged, access under the
+    inherited lock is not."""
+    report = run_fixture(RULE_FIXTURES["SRN004"])
+    subclass = [d for d in report.findings if "Tally" in d.message]
+    assert [(d.line, d.message) for d in subclass] == [
+        (
+            96,
+            "access to Tally._values guarded by '_lock' outside "
+            "`with self._lock:` (and 'add_bad' is not @holds_lock)",
+        )
+    ]
+
+
 def test_srn005_good_handlers_stay_silent():
     report = run_fixture(RULE_FIXTURES["SRN005"])
     assert len(report.findings) == 3

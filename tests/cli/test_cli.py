@@ -95,20 +95,32 @@ class TestCommands:
         assert main(["build-index", str(clicks_tsv), "--out", str(out)]) == 0
         assert "KiB" in capsys.readouterr().out
 
-    def test_build_index_parallel(self, clicks_tsv, tmp_path):
-        out = tmp_path / "p.vmis"
-        code = main(
-            [
-                "build-index",
-                str(clicks_tsv),
-                "--workers",
-                "2",
-                "--out",
-                str(out),
-            ]
-        )
+    def test_build_index_writes_the_array_build(self, clicks_tsv, tmp_path):
+        """The artifact is the array build's byte for byte, and so the
+        per-click reference builder's too (``--m`` truncates postings)."""
+        from repro.core.index import SessionIndex
+        from repro.data.clicklog import ClickLog
+        from repro.index.builder import IndexBuilder
+        from repro.index.serialization import save_index
+
+        out = tmp_path / "cli.vmis"
+        code = main(["build-index", str(clicks_tsv), "--m", "20", "--out", str(out)])
         assert code == 0
-        assert out.exists()
+        clicks = list(ClickLog.from_tsv(clicks_tsv))
+        array, loop = tmp_path / "array.vmis", tmp_path / "loop.vmis"
+        save_index(SessionIndex.from_clicks(clicks, max_sessions_per_item=20), array)
+        save_index(IndexBuilder(max_sessions_per_item=20).build(clicks), loop)
+        assert out.read_bytes() == array.read_bytes() == loop.read_bytes()
+
+    @pytest.mark.parametrize("verb", ["build-index", "evaluate"])
+    def test_workers_option_is_gone(self, clicks_tsv, tmp_path, capsys, verb):
+        args = [verb, str(clicks_tsv), "--workers", "2"]
+        if verb == "build-index":
+            args += ["--out", str(tmp_path / "w.vmis")]
+        with pytest.raises(SystemExit) as exited:
+            main(args)
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     def test_recommend(self, index_artifact, capsys):
         code = main(
@@ -145,9 +157,7 @@ class TestCommands:
         ]
         assert main(serial_args) == 0
         serial_out = capsys.readouterr().out
-        assert (
-            main(serial_args + ["--batch-size", "32", "--workers", "2"]) == 0
-        )
+        assert main(serial_args + ["--batch-size", "32"]) == 0
         batched_out = capsys.readouterr().out
         assert "cache:" in batched_out
 

@@ -12,6 +12,7 @@ belongs to the machine, not to ``serve`` (a ``.pth`` that imports
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -54,10 +55,36 @@ NOT_SERVED = [
     "concurrent.futures",
 ]
 
+# What ``NOT_SERVED`` holds out of ``serve`` at run time, no module of the
+# package imports at all: every request and batch is scored on the thread
+# that holds it.
+POOLS = ("multiprocessing", "concurrent.futures")
+
+
+def imported_names(node: ast.AST) -> list[str]:
+    """The absolute module names one import statement can bind."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+        return [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+    return []
+
+
+def test_no_module_imports_a_pool():
+    offenders = [
+        f"{path.relative_to(SRC)}:{node.lineno} imports {name}"
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for name in imported_names(node)
+        if any(name == pool or name.startswith(pool + ".") for pool in POOLS)
+    ]
+    assert not offenders, "\n".join(offenders)
+
+
 # The bare interpreter, ``site``, and repro.core, repro.serving,
 # repro.kvstore, repro.index.serialization, numpy and the standard library
-# they use: 284 modules on CPython 3.11, counted in a ``-S`` child, and a
-# margin of 6.
+# they use: 282 modules on CPython 3.11, counted in a ``-S`` child, and a
+# margin of 8.
 MODULE_BOUND = 290
 
 # Under ``-S`` the child puts the site-packages directories on ``sys.path``

@@ -1,4 +1,4 @@
-"""Tests for the batched, sharded prediction engine and its LRU cache."""
+"""Tests for the batch prediction engine and its LRU cache."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from repro.core import batch as batch_module
-from repro.core.batch import BatchPredictionEngine, LRUResultCache, shard_index
+from repro.core.batch import BatchPredictionEngine, LRUResultCache
 from repro.core.colindex import VMISKNNColumnar
 from repro.core.deadline import Deadline
 from repro.core.predictor import SessionRecommender, batch_via_loop
@@ -79,12 +79,6 @@ class TestLRUResultCache:
         assert cache.get(keys[0]) is not None
         assert len(cache) == 2
 
-    def test_suffix_keying(self):
-        cache = LRUResultCache(maxsize=4, suffix_length=2)
-        assert cache.key([1, 2, 3, 4], 5) == cache.key([9, 3, 4], 5)
-        assert cache.key([3, 4], 5) == ((3, 4), 5)
-        assert cache.key([1, 2], 5) != cache.key([1, 2], 6)
-
     def test_info_counters(self):
         cache = LRUResultCache(maxsize=8)
         key = cache.key([1], 5)
@@ -99,47 +93,11 @@ class TestLRUResultCache:
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             LRUResultCache(maxsize=0)
-        with pytest.raises(ValueError):
-            LRUResultCache(maxsize=4, suffix_length=0)
-
-
-class TestShardIndex:
-    def test_single_shard_is_the_original(self, batch_model):
-        assert shard_index(batch_model.index, 1) == [batch_model.index]
-
-    def test_shards_partition_postings(self, batch_model):
-        index = batch_model.index
-        shards = shard_index(index, 3)
-        assert len(shards) == 3
-        for item, postings in index.item_to_sessions.items():
-            recombined = []
-            for shard in shards:
-                recombined.extend(shard.item_to_sessions.get(item, []))
-            assert sorted(recombined) == sorted(postings)
-        for number, shard in enumerate(shards):
-            for postings in shard.item_to_sessions.values():
-                assert all(sid % 3 == number for sid in postings)
-                # newest-first order survives the split
-                stamps = [index.session_timestamps[sid] for sid in postings]
-                assert stamps == sorted(stamps, reverse=True)
-
-    def test_shards_share_metadata(self, batch_model):
-        shards = shard_index(batch_model.index, 2)
-        for shard in shards:
-            assert shard.session_timestamps is batch_model.index.session_timestamps
-            assert shard.session_items is batch_model.index.session_items
-
-    def test_rejects_bad_count(self, batch_model):
-        with pytest.raises(ValueError):
-            shard_index(batch_model.index, 0)
 
 
 ENGINE_CONFIGS = [
-    pytest.param(dict(num_workers=0), id="inline"),
-    pytest.param(dict(num_workers=3), id="threads"),
-    pytest.param(dict(num_workers=2, use_processes=True), id="processes"),
-    pytest.param(dict(num_workers=3, shard_strategy="index"), id="index-sharded"),
-    pytest.param(dict(num_workers=0, cache_size=0), id="no-cache"),
+    pytest.param(dict(), id="inline"),
+    pytest.param(dict(cache_size=0), id="no-cache"),
 ]
 
 
@@ -197,41 +155,23 @@ class TestBatchPredictionEngine:
             "deadline_shed": 0,
         }
 
-    def test_cache_suffix_collapses_long_histories(self, batch_model):
-        with BatchPredictionEngine(
-            batch_model, cache_size=64, cache_suffix=2
-        ) as engine:
-            long_query = [5, 6] + list(batch_model.index.session_items[3])
-            engine.recommend(long_query, how_many=10)
-            # different history, same last-2 suffix -> served from cache
-            engine.recommend(long_query[2:], how_many=10)
-            info = engine.cache_info()
-            assert info["hits"] == 1 and info["misses"] == 1
-
     def test_close_is_idempotent(self, batch_model):
-        engine = BatchPredictionEngine(batch_model, num_workers=2)
+        engine = BatchPredictionEngine(batch_model)
         engine.recommend_batch([[1], [2], [3]])
         engine.close()
+        assert engine.cache_info()["size"] == 0  # closing drops the results
         engine.close()
-
-    def test_index_sharding_requires_fitted_vmis(self, batch_model):
-        with pytest.raises(TypeError):
-            BatchPredictionEngine(object(), shard_strategy="index")
-        with pytest.raises(ValueError):
-            BatchPredictionEngine(VMISKNN(m=10, k=5), shard_strategy="index")
-        with pytest.raises(ValueError):
-            BatchPredictionEngine(
-                batch_model, shard_strategy="index", use_processes=True
-            )
 
     def test_rejects_bad_arguments(self, batch_model):
         with pytest.raises(ValueError):
-            BatchPredictionEngine(batch_model, num_workers=-1)
-        with pytest.raises(ValueError):
-            BatchPredictionEngine(batch_model, shard_strategy="rows")
+            BatchPredictionEngine(batch_model, cache_size=-1)
+        # The engine takes a recommender and a cache size, nothing else.
+        for knob in ("num_workers", "use_processes", "shard_strategy"):
+            with pytest.raises(TypeError):
+                BatchPredictionEngine(batch_model, **{knob: 2})
 
     def test_empty_batch(self, batch_model):
-        with BatchPredictionEngine(batch_model, num_workers=2) as engine:
+        with BatchPredictionEngine(batch_model) as engine:
             assert engine.recommend_batch([]) == []
 
 
@@ -290,29 +230,6 @@ class TestBatchDeadlines:
             # Finished work is never discarded; only new compute is shed.
             assert scored_pairs(results[0]) == scored_pairs(warm[0])
             assert engine.deadline_shed == 0
-
-    def test_pooled_path_sheds_slow_chunks(self):
-        from repro.core.deadline import Deadline
-
-        class SlowRecommender:
-            def recommend(self, session_items, how_many=21):
-                import time
-
-                time.sleep(0.2)
-                return [ScoredItem(1, 1.0)]
-
-            def recommend_batch(self, sessions, how_many=21):
-                return [self.recommend(s, how_many) for s in sessions]
-
-        with BatchPredictionEngine(
-            SlowRecommender(), num_workers=2, cache_size=0
-        ) as engine:
-            results = engine.recommend_batch(
-                [[1], [2], [3], [4]], deadline=Deadline(0.010)
-            )
-            # 200 ms of work per chunk against a 10 ms budget: all shed.
-            assert results == [[], [], [], []]
-            assert engine.deadline_shed == 4
 
 
 class CountingColumnar(VMISKNNColumnar):
@@ -394,36 +311,13 @@ class TestEngineAroundTheFusedScorer:
 
         legacy = Legacy()
         queries = [[1], [2], [3, 4]]
-        for config in (dict(num_workers=0), dict(num_workers=2)):
-            with BatchPredictionEngine(legacy, cache_size=0, **config) as engine:
-                results = engine.recommend_batch(queries, how_many=5)
-            assert [scored_pairs(r) for r in results] == [
-                scored_pairs(columnar_model.recommend(q, how_many=5))
-                for q in queries
-            ]
-        assert legacy.calls == 6
-
-    @pytest.mark.parametrize(
-        "config",
-        [
-            pytest.param(dict(num_workers=3), id="threads"),
-            pytest.param(dict(num_workers=2, use_processes=True), id="processes"),
-        ],
-    )
-    def test_pooled_branches_equal_the_inline_one(
-        self, columnar_model, query_sessions, config
-    ):
-        with BatchPredictionEngine(columnar_model, cache_size=0) as inline:
-            expected = inline.recommend_batch(query_sessions, how_many=10)
-        assert [scored_pairs(r) for r in expected] == [
-            scored_pairs(columnar_model.recommend(q, how_many=10))
-            for q in query_sessions
+        with BatchPredictionEngine(legacy, cache_size=0) as engine:
+            results = engine.recommend_batch(queries, how_many=5)
+        assert [scored_pairs(r) for r in results] == [
+            scored_pairs(columnar_model.recommend(q, how_many=5))
+            for q in queries
         ]
-        with BatchPredictionEngine(columnar_model, cache_size=0, **config) as engine:
-            pooled = engine.recommend_batch(query_sessions, how_many=10)
-        assert [scored_pairs(r) for r in pooled] == [
-            scored_pairs(r) for r in expected
-        ]
+        assert legacy.calls == 3
 
     def test_working_set_does_not_grow_with_the_batch(self, batch_clicks):
         """The fused step is bounded by rows per piece, not by the call:
@@ -454,83 +348,3 @@ class TestEngineAroundTheFusedScorer:
         # 256 sessions hold 16x the result objects; beyond those the peak
         # stays within a small factor (unbounded, the factor is ~16).
         assert large < 3 * small + answers * 200
-
-
-class TestMergeCandidateTieBreak:
-    """Pin the index-sharded merge's recency tie-break (batch.py).
-
-    ``_merge_candidates`` truncates the shard union to the ``m`` most
-    recent sessions with ``heapq.nlargest`` over the internal ids alone.
-    That is only correct because build-time id assignment refines the
-    ``(timestamp, external id)`` order — these tests keep both the
-    refinement audit and the end-to-end equality honest on workloads
-    where every timestamp ties.
-    """
-
-    @pytest.fixture(scope="class")
-    def tied_model(self):
-        from repro.testing.generators import WorkloadConfig, WorkloadGenerator
-
-        generator = WorkloadGenerator(
-            WorkloadConfig(
-                seed=88,
-                num_sessions=80,
-                num_items=12,
-                timestamp_granularity=10_000.0,  # every timestamp ties
-            )
-        )
-        return VMISKNN.from_clicks(generator.clicks(), m=7, k=5)
-
-    def test_id_order_refines_recency_order(self, tied_model):
-        import heapq
-
-        timestamps = tied_model.index.session_timestamps
-        candidates = list(range(tied_model.index.num_sessions))
-        by_id = heapq.nlargest(tied_model.m, candidates)
-        by_recency = heapq.nlargest(
-            tied_model.m, candidates, key=lambda sid: (timestamps[sid], sid)
-        )
-        assert by_id == by_recency
-
-    def test_merge_truncation_keeps_most_recent_ids(self, tied_model):
-        """A shard union larger than m keeps exactly the m largest ids,
-        in descending order (the deterministic session-id tie-break)."""
-        import heapq
-        from unittest import mock
-
-        union = {sid: 1.0 for sid in range(0, 30, 2)}
-        shard_maps = [
-            {sid: sim for sid, sim in union.items() if sid % 3 == r}
-            for r in range(3)
-        ]
-        with mock.patch(
-            "repro.core.batch.score_items", side_effect=score_spy
-        ) as spy:
-            BatchPredictionEngine._merge_candidates(
-                tied_model, [0], shard_maps, how_many=5
-            )
-        (_, _, neighbors), _ = spy.call_args
-        # Retention keeps the m largest ids; with every similarity tied,
-        # the k-neighbour heap then breaks ties towards larger ids too.
-        retained = heapq.nlargest(tied_model.m, union)
-        expected_ids = heapq.nlargest(tied_model.k, retained)
-        assert [sid for sid, _ in neighbors] == expected_ids
-
-    def test_sharded_batch_matches_serial_on_tied_timestamps(self, tied_model):
-        sequences = list(tied_model.index.session_items)[:40]
-        queries = [list(items[: max(1, len(items) - 1)]) for items in sequences]
-        serial = [
-            scored_pairs(tied_model.recommend(items, how_many=10))
-            for items in queries
-        ]
-        with BatchPredictionEngine(
-            tied_model, num_workers=3, shard_strategy="index", cache_size=0
-        ) as engine:
-            batched = engine.recommend_batch(queries, how_many=10)
-        assert [scored_pairs(ranked) for ranked in batched] == serial
-
-
-def score_spy(index, items, neighbors, **kwargs):
-    from repro.core.scoring import score_items
-
-    return score_items(index, items, neighbors, **kwargs)

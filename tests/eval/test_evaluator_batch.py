@@ -43,7 +43,7 @@ def test_metrics_identical_to_serial(model, split, serial_result, batch_size):
 
 
 def test_through_batch_engine(model, split, serial_result):
-    with BatchPredictionEngine(model, num_workers=3, cache_size=512) as engine:
+    with BatchPredictionEngine(model, cache_size=512) as engine:
         batched = evaluate_next_item_batched(
             engine,
             split.test_sequences(),

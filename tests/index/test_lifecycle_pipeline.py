@@ -14,6 +14,7 @@ from repro.index.lifecycle import (
     IngestionPolicy,
     RolloutPolicy,
 )
+from repro.index.serialization import serialize_index
 from repro.serving.app import ServingCluster
 
 
@@ -55,6 +56,25 @@ class TestBuildAndRegister:
         assert manifest.provenance["validation"]["input_clicks"] > 0
         assert manifest.build_stats["sessions"] == manifest.num_sessions
         assert report.quarantine_rate == 0.0
+
+    def test_build_matches_the_reference_builder(self, tmp_path, split):
+        """The array build registers the loop build's index and the four
+        counts of its stage report."""
+        clicks = list(split.train)
+        lifecycle = make_lifecycle(tmp_path)
+        manifest, _ = lifecycle.build_and_register(clicks)
+        builder = IndexBuilder(max_sessions_per_item=100)
+        reference = builder.build(clicks)
+        report = builder.last_report
+        assert manifest.build_stats == {
+            "input_clicks": report.input_clicks,
+            "sessions": report.sessions,
+            "postings_after_truncation": report.postings_after_truncation,
+            "distinct_items": report.distinct_items,
+        }
+        assert serialize_index(
+            lifecycle.registry.load(manifest.version)
+        ) == serialize_index(reference)
 
     def test_untrustworthy_log_refused(self, tmp_path):
         lifecycle = make_lifecycle(

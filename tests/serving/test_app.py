@@ -382,7 +382,6 @@ class TestBatchServing:
         results = cluster.handle_batch([[1, 2], [2], [4, 5], [3]], how_many=5)
         assert len(results) == 4
         assert scoring_threads == [threading.current_thread()] * 4
-        assert cluster.batch_engine().num_workers == 0
         assert not [
             thread.name
             for thread in threading.enumerate()
