@@ -8,10 +8,16 @@ ann-benchmarks' bulk columnar loaders) uses — and replaces the
 heap-per-candidate loop with bulk array operations:
 
 * **layout** — per-item posting runs live back to back in one int64
-  ``posting_sessions`` array addressed by an ``posting_offsets`` table
-  (``run(i) = posting_sessions[offsets[i]:offsets[i+1]]``), with a
-  parallel float64 ``posting_timestamps`` array; session metadata
-  (timestamps, per-session item lists) uses the same offset-table shape.
+  array addressed by a ``posting_offsets`` table (``run(i) =
+  posting_sessions[offsets[i]:offsets[i+1]]``). The index holds that
+  array back to front, ``posting_sessions_asc``, so that every run
+  ascends; ``posting_sessions`` is a reversed view of it. Session
+  metadata (timestamps, per-session item rows) uses the same
+  offset-table shape. A pod holds eight buffers and no second copy of
+  any: the six the scorer reads, and ``item_frequencies`` and
+  ``session_timestamps``, without which the index could not be written
+  back. Item ids per session item or a timestamp per posting would only
+  cost memory.
 * **neighbour search** — the query gathers the posting runs of its
   distinct items (newest first), prunes each run by binary search
   against the best run's m-th largest id (the vectorized analogue of
@@ -80,7 +86,9 @@ additions of its own session only, in the order ``recommend`` makes them.
 ``repro.index.serialization.load_columnar`` wraps the arrays of the one
 artifact decoder; :meth:`ColumnarSessionIndex.from_session_index` packs an
 existing row-oriented index. A serving process uses the second and never
-holds the row-oriented index.
+holds the row-oriented index. The decoders hand their buffers over
+read-only and the constructor keeps a read-only buffer as it is, so no
+buffer is copied twice on the way from the file.
 
 The d-ary heap path stays as the differential oracle; see
 ``tests/testing/test_columnar_properties.py`` and the corpus sweep in
@@ -119,20 +127,50 @@ _INT = np.int64
 _FLOAT = np.float64
 
 
-def _as_int_array(values: Any) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=_INT)
-    if arr is values:
-        # A conforming ndarray comes back uncopied; the caller would keep
-        # write access to a buffer we are about to freeze and share.
+def _read_only(values: np.ndarray) -> bool:
+    """True when neither ``values`` nor the array owning its memory can be
+    written.
+
+    Memory an ndarray does not own (the bytes of a file, say) does not
+    count as frozen, so a buffer over it is copied rather than keeping
+    the whole file alive.
+    """
+    owner: object = values
+    while isinstance(owner, np.ndarray):
+        if owner.flags.writeable:
+            return False
+        if owner.base is None:
+            return True
+        owner = owner.base
+    return False
+
+
+def _as_array(values: Any, dtype: type) -> np.ndarray:
+    """``values`` as a contiguous ``dtype`` array no caller can write to.
+
+    A list, or an array of another dtype or layout, is converted once. A
+    conforming array comes back uncopied from the conversion; the caller
+    would keep write access to a buffer we are about to freeze and share,
+    so it is copied, unless it is read-only down to the array that owns
+    its memory. The artifact decoders hand their buffers over that way,
+    so none of them is copied a second time.
+    """
+    arr = np.ascontiguousarray(values, dtype=dtype)
+    if (
+        isinstance(values, np.ndarray)
+        and np.may_share_memory(arr, values)
+        and not _read_only(values)
+    ):
         arr = arr.copy()
     return arr
+
+
+def _as_int_array(values: Any) -> np.ndarray:
+    return _as_array(values, _INT)
 
 
 def _as_float_array(values: Any) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=_FLOAT)
-    if arr is values:
-        arr = arr.copy()
-    return arr
+    return _as_array(values, _FLOAT)
 
 
 # ``recommend_batch`` scores a call in pieces: a piece is closed once the
@@ -190,42 +228,49 @@ def _window_and_inverse(
     "item_ids",
     "item_frequencies",
     "posting_offsets",
-    "posting_sessions",
-    "posting_timestamps",
+    "posting_sessions_asc",
     "session_timestamps",
     "session_item_offsets",
-    "session_item_values",
-    "posting_sessions_asc",
     "session_item_rows",
     "idf_values",
 )
 class ColumnarSessionIndex:
     """Struct-of-arrays view of the (M, t) index.
 
-    All buffers are contiguous ``int64``/``float64`` numpy arrays:
+    It holds eight buffers, each a contiguous ``int64``/``float64`` numpy
+    array: six the scorer reads, and ``item_frequencies`` and
+    ``session_timestamps``, which writing the index back needs.
 
     Attributes:
         item_ids: distinct item ids with a posting run, ascending — row
             ``r`` of every per-item array describes ``item_ids[r]``.
         item_frequencies: untruncated per-item session counts ``h_i``.
         posting_offsets: ``[num_rows + 1]`` offsets into the posting
-            arrays; row ``r``'s run is ``[offsets[r], offsets[r+1])``.
-        posting_sessions: concatenated posting runs, strictly descending
-            internal session id within each run (newest first).
-        posting_timestamps: session timestamp parallel to every
-            ``posting_sessions`` entry (``t[posting_sessions]``).
+            runs; row ``r``'s run is ``[offsets[r], offsets[r+1])`` of
+            :attr:`posting_sessions`.
+        posting_sessions_asc: the posting runs back to front, so that
+            every run ascends: run ``r`` is
+            ``asc[P - offsets[r+1] : P - offsets[r]]`` for ``P`` entries.
+            The scorer prunes runs by binary search against the retention
+            threshold (the vectorized analogue of early stopping), which
+            wants ascending contiguous slices.
         session_timestamps: the ``t`` array, indexed by internal id.
-        session_item_offsets: ``[num_sessions + 1]`` offsets into the
-            session-item arrays.
-        session_item_values: concatenated distinct-item lists per
-            session, click order (what ``items_of`` returns).
+        session_item_offsets: ``[num_sessions + 1]`` offsets into
+            ``session_item_rows``.
+        session_item_rows: every session's distinct items in click order,
+            as their posting rows (the item is ``item_ids[row]``).
+        idf_values: ``log(|H| / h_i)`` per row, computed with
+            ``math.log`` so values are bit-identical to
+            :meth:`SessionIndex.idf`.
         max_sessions_per_item: the build-time posting cap ``m``.
 
-    Derived at construction (not part of the serialized payload):
-    ``session_item_rows`` maps every session item to its posting row,
-    ``idf_values`` precomputes ``log(|H| / h_i)`` per row with
-    ``math.log`` so values are bit-identical to
-    :meth:`SessionIndex.idf`, and ``_item_row`` is the item → row hash.
+    The constructor takes the index as it is stored (descending runs in
+    ``posting_sessions``, item ids in ``session_item_values``) and keeps
+    neither array: :attr:`posting_sessions` is a reversed view of the
+    mirror, and the item ids of a session are gathered from
+    ``item_ids`` by the cold readers that want them (:meth:`items_of`,
+    :meth:`to_session_index`, the ``VMIC`` writer). ``_item_row`` is the
+    item → row hash of the request path.
     """
 
     def __init__(
@@ -238,33 +283,21 @@ class ColumnarSessionIndex:
         session_item_offsets: Any,
         session_item_values: Any,
         max_sessions_per_item: int,
-        posting_timestamps: Any | None = None,
     ) -> None:
         self.item_ids = _as_int_array(item_ids)
         self.item_frequencies = _as_int_array(item_frequencies)
         self.posting_offsets = _as_int_array(posting_offsets)
-        self.posting_sessions = _as_int_array(posting_sessions)
+        self.posting_sessions_asc = _as_int_array(
+            np.asarray(posting_sessions, dtype=_INT)[::-1]
+        )
         self.session_timestamps = _as_float_array(session_timestamps)
         self.session_item_offsets = _as_int_array(session_item_offsets)
-        self.session_item_values = _as_int_array(session_item_values)
         self.max_sessions_per_item = max_sessions_per_item
-        self._validate_layout()
-        # Postings validate before the timestamp gather below: an
-        # out-of-range id must raise ValueError, not IndexError (and a
-        # negative one must never silently wrap around).
+        # Read to find every item's posting row, and not kept.
+        values = np.asarray(session_item_values, dtype=_INT)
+        self._validate_layout(values.shape[0])
         self._validate_postings()
-        if posting_timestamps is None:
-            posting_timestamps = self.session_timestamps[self.posting_sessions]
-        self.posting_timestamps = _as_float_array(posting_timestamps)
-        # Ascending mirror of the posting payload: run ``r`` ascending is
-        # ``asc[P - offsets[r+1] : P - offsets[r]]``. The scorer prunes
-        # runs by binary search against the retention threshold — the
-        # vectorized analogue of early stopping — which wants ascending
-        # contiguous slices. Derived, never serialized.
-        self.posting_sessions_asc = np.ascontiguousarray(
-            self.posting_sessions[::-1]
-        )
-        self.session_item_rows = self._resolve_session_item_rows()
+        self.session_item_rows = self._resolve_session_item_rows(values)
         self.idf_values = self._compute_idf()
         self._item_row: dict[ItemId, int] = {
             int(item): row for row, item in enumerate(self.item_ids.tolist())
@@ -277,59 +310,65 @@ class ColumnarSessionIndex:
 
     # -- construction-time validation ----------------------------------------
 
-    def _validate_layout(self) -> None:
+    def _validate_layout(self, session_items: int) -> None:
         rows = self.item_ids.shape[0]
         if self.item_frequencies.shape[0] != rows:
             raise ValueError("item_frequencies length must match item_ids")
         if self.posting_offsets.shape[0] != rows + 1:
             raise ValueError("posting_offsets must have num_rows + 1 entries")
-        if rows and not np.all(np.diff(self.item_ids) > 0):
+        if rows and not np.all(self.item_ids[1:] > self.item_ids[:-1]):
             raise ValueError("item_ids must be strictly ascending")
         for name, offsets, payload in (
-            ("posting", self.posting_offsets, self.posting_sessions),
-            ("session_item", self.session_item_offsets, self.session_item_values),
+            ("posting", self.posting_offsets, self.posting_sessions_asc.shape[0]),
+            ("session_item", self.session_item_offsets, session_items),
         ):
             if offsets.shape[0] == 0 or offsets[0] != 0:
                 raise ValueError(f"{name}_offsets must start at 0")
-            if np.any(np.diff(offsets) < 0):
+            if np.any(offsets[1:] < offsets[:-1]):
                 raise ValueError(f"{name}_offsets must be non-decreasing")
-            if offsets[-1] != payload.shape[0]:
+            if offsets[-1] != payload:
                 raise ValueError(
                     f"{name}_offsets must end at the payload length "
-                    f"({int(offsets[-1])} != {payload.shape[0]})"
+                    f"({int(offsets[-1])} != {payload})"
                 )
-        if self.session_item_offsets.shape[0] != self.num_sessions + 1:
+        if self.session_timestamps.shape[0] != self.num_sessions:
             raise ValueError(
-                "session_item_offsets must have num_sessions + 1 entries"
+                "session_timestamps must have one entry per session "
+                f"({self.session_timestamps.shape[0]} != {self.num_sessions})"
             )
 
     def _validate_postings(self) -> None:
-        sessions = self.posting_sessions
-        if sessions.size == 0:
+        asc = self.posting_sessions_asc
+        total = asc.shape[0]
+        if total == 0:
             return
-        if sessions.min() < 0 or sessions.max() >= self.num_sessions:
+        if asc.min() < 0 or asc.max() >= self.num_sessions:
             raise ValueError("posting session id out of range")
-        # Strictly descending ids inside every run: check all adjacent
-        # pairs at once, exempting the positions where a new run starts.
-        deltas = np.diff(sessions)
-        boundary = np.zeros(deltas.shape[0], dtype=bool)
-        run_starts = self.posting_offsets[1:-1]
-        in_range = (run_starts >= 1) & (run_starts <= deltas.shape[0])
-        boundary[run_starts[in_range] - 1] = True
-        if np.any(deltas[~boundary] >= 0):
+        # Strictly descending ids inside every run is strictly ascending
+        # ones inside every run of the mirror: check all adjacent pairs at
+        # once, exempting the pairs that straddle two runs (a run starting
+        # at ``offsets[r]`` begins its pair at ``total - offsets[r] - 1``).
+        rising = asc[1:] > asc[:-1]
+        straddles = total - 1 - self.posting_offsets[1:-1]
+        rising[straddles[(straddles >= 0) & (straddles < total - 1)]] = True
+        if not rising.all():
             raise ValueError(
                 "posting runs must be strictly descending session ids "
                 "(newest first)"
             )
 
-    def _resolve_session_item_rows(self) -> np.ndarray:
-        values = self.session_item_values
+    def _resolve_session_item_rows(self, values: np.ndarray) -> np.ndarray:
         if values.size == 0:
             return np.zeros(0, dtype=_INT)
-        rows = np.searchsorted(self.item_ids, values)
-        in_range = rows < self.item_ids.shape[0]
-        hit = np.zeros(values.shape[0], dtype=bool)
-        hit[in_range] = self.item_ids[rows[in_range]] == values[in_range]
+        rows = np.searchsorted(self.item_ids, values).astype(_INT, copy=False)
+        # An id past the last item lands on row ``num_items``; clamped, it
+        # gathers an item that differs from it and is refused below.
+        np.minimum(rows, max(self.item_ids.shape[0] - 1, 0), out=rows)
+        hit = (
+            self.item_ids[rows] == values
+            if self.item_ids.shape[0]
+            else np.zeros(values.shape[0], dtype=bool)
+        )
         if not bool(hit.all()):
             missing = int(values[~hit][0])
             raise ValueError(
@@ -337,7 +376,7 @@ class ColumnarSessionIndex:
                 "index requires a consistent SessionIndex (every stored "
                 "session item must carry a posting list)"
             )
-        return _as_int_array(rows)
+        return rows
 
     def _compute_idf(self) -> np.ndarray:
         # math.log elementwise, not np.log: SessionIndex.idf memoises
@@ -418,7 +457,7 @@ class ColumnarSessionIndex:
                 self.posting_sessions,
                 timestamps,
                 self.session_item_offsets,
-                self.session_item_values,
+                self.item_ids[self.session_item_rows],
                 self.max_sessions_per_item,
             )
         )
@@ -434,6 +473,13 @@ class ColumnarSessionIndex:
     def num_items(self) -> int:
         """Number of distinct items |I| with at least one posting."""
         return self.item_ids.shape[0]
+
+    @property
+    def posting_sessions(self) -> np.ndarray:
+        """The posting runs as stored, run after run, each strictly
+        descending (newest first): a reversed view of the mirror, which
+        costs no memory of its own."""
+        return self.posting_sessions_asc[::-1]
 
     def sessions_for_item(self, item_id: ItemId) -> list[SessionId]:
         """Posting run ``m_i``, most recent sessions first; [] if unknown."""
@@ -451,7 +497,7 @@ class ColumnarSessionIndex:
         """Distinct items of a historical session, in click order."""
         start = self.session_item_offsets[session_id]
         end = self.session_item_offsets[session_id + 1]
-        return tuple(self.session_item_values[start:end].tolist())
+        return tuple(self.item_ids[self.session_item_rows[start:end]].tolist())
 
     def idf(self, item_id: ItemId) -> float:
         """``log(|H| / h_i)``; 0.0 for unseen items."""
@@ -465,8 +511,8 @@ class ColumnarSessionIndex:
         return {
             "num_items": self.num_items,
             "num_sessions": self.num_sessions,
-            "posting_entries": int(self.posting_sessions.shape[0]),
-            "stored_session_items": int(self.session_item_values.shape[0]),
+            "posting_entries": int(self.posting_sessions_asc.shape[0]),
+            "stored_session_items": int(self.session_item_rows.shape[0]),
         }
 
 

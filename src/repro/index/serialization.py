@@ -17,14 +17,16 @@ stored as first value + positive deltas, which keeps varints short and is
 the usual inverted-index trick.
 
 :func:`_decode_index` is the one ``VMIS`` decoder. It decodes the payload
-per varint with array operations (:func:`_decode_varints`), walks only the
-record structure in Python, rebuilds all posting runs with one cumulative
-sum, and returns flat arrays (:class:`~repro.core.index.IndexColumns`).
-:func:`deserialize_index` / :func:`load_index` unpack those arrays into a
-:class:`SessionIndex`; :func:`load_columnar` gives them to
-:class:`ColumnarSessionIndex` as they are, so a pod that serves the
-columnar layout never builds the row-oriented index on the way. Values
-are ``int64``: a varint wider than 63 bits is refused.
+per varint with array operations, a piece at a time into one array
+(:func:`_decode_varints`), walks only the record structure in Python,
+cuts each section out of the decoded array once, rebuilds all posting
+runs in place with one cumulative sum, and returns flat arrays
+(:class:`~repro.core.index.IndexColumns`). :func:`deserialize_index` /
+:func:`load_index` unpack those arrays into a :class:`SessionIndex`;
+:func:`load_columnar` gives them to :class:`ColumnarSessionIndex` as
+they are, so a pod that serves the columnar layout never builds the
+row-oriented index on the way. Values are ``int64``: a varint wider than
+63 bits is refused.
 
 The columnar index (:class:`~repro.core.colindex.ColumnarSessionIndex`)
 has its own container, magic ``VMIC``: the same envelope (magic, u32
@@ -32,9 +34,15 @@ version, length-prefixed JSON header, trailing CRC32) around the raw
 little-endian buffers in a fixed order — ``item_ids``,
 ``item_frequencies``, ``posting_offsets``, ``posting_sessions`` (int64),
 ``session_timestamps`` (float64), ``session_item_offsets``,
-``session_item_values`` (int64). The parallel ``posting_timestamps``
-array is *derived* on load (``t[posting_sessions]``), which both halves
-the posting payload and guarantees the two arrays can never disagree.
+``session_item_values`` (int64) — which must fill the payload exactly.
+That is the layout as built; the index holds the posting runs as their
+ascending mirror and the session items as posting rows, and the writer
+derives the stored form from those. No timestamp per posting is stored
+or held: ids carry the recency order.
+
+Both decoders hand the buffers they make over read-only, which the
+constructor keeps without a second copy: loading peaks at the
+artifact's bytes plus about twice the bytes the index holds.
 :func:`serialize_artifact` / :func:`deserialize_artifact` dispatch on the
 artifact type / magic so the registry can version either layout.
 """
@@ -74,17 +82,14 @@ def _write_varint(out: bytearray, value: int) -> None:
             return
 
 
-def _decode_varints(raw: np.ndarray) -> np.ndarray:
-    """Decode back-to-back LEB128 varints (a ``uint8`` array) to ``int64``.
+def _decode_piece(raw: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Decode the varints of ``raw``, which ends where a varint ends.
 
     The work is per varint, not per byte: the bytes below ``0x80`` are the
     ends, every value starts from its first byte, and one pass per further
     byte position ORs that position in for the varints long enough to have
     it. Nine bytes (63 bits) is the widest value an ``int64`` id can need.
     """
-    ends = np.flatnonzero(raw < 0x80)
-    if raw.shape[0] and (ends.shape[0] == 0 or ends[-1] != raw.shape[0] - 1):
-        raise ValueError("index file corrupted: truncated varint")
     starts = np.zeros_like(ends)
     starts[1:] = ends[:-1] + 1
     extra_bytes = ends - starts
@@ -97,6 +102,45 @@ def _decode_varints(raw: np.ndarray) -> np.ndarray:
         values[wide] |= (raw[starts[wide] + position] & 0x7F).astype(np.int64) << (
             7 * position
         )
+    return values
+
+
+#: Payload bytes decoded at a time. A piece's temporaries take about 40
+#: bytes per varint (ends, starts, widths, values); decoded whole, they
+#: were four times the decoded array on top of it. ``load_columnar`` of
+#: the serve ledger's artifact (seed 2022: 656 KB, 231 000 varints; 2-core
+#: VM, CPython 3.11, numpy 2.4), tracemalloc peak and best-of-15
+#: ``_decode_index`` time by piece: 4 KiB 4.7 MB / 12.3 ms, 16 KiB
+#: 4.7 MB / 8.4 ms, 64 KiB 4.9 MB / 8.4 ms, 256 KiB 10.2 MB / 10.4 ms,
+#: the whole payload at once 11.2 MB / 12.0 ms.
+_VARINT_PIECE = 1 << 14
+
+
+def _decode_varints(raw: np.ndarray) -> np.ndarray:
+    """Decode back-to-back LEB128 varints (a ``uint8`` array) to ``int64``.
+
+    One pass counts the varints, so the result is allocated once; then
+    pieces of about :data:`_VARINT_PIECE` bytes, each cut where a varint
+    ends, are decoded into it one after the other.
+    """
+    total = raw.shape[0]
+    if total and raw[-1] >= 0x80:
+        raise ValueError("index file corrupted: truncated varint")
+    count = sum(
+        int(np.count_nonzero(raw[start : start + _VARINT_PIECE] < 0x80))
+        for start in range(0, total, _VARINT_PIECE)
+    )
+    values = np.empty(count, dtype=np.int64)
+    start = written = 0
+    while start < total:
+        piece = raw[start : start + _VARINT_PIECE]
+        ends = np.flatnonzero(piece < 0x80)
+        if ends.shape[0] == 0:  # one varint longer than a whole piece
+            raise ValueError("index file corrupted: varint wider than 63 bits")
+        decoded = _decode_piece(piece[: ends[-1] + 1], ends)
+        values[written : written + decoded.shape[0]] = decoded
+        written += decoded.shape[0]
+        start += int(ends[-1]) + 1
     return values
 
 
@@ -118,20 +162,34 @@ def _encode_descending(values: list[int]) -> bytearray:
 
 
 def _rebuild_descending(payload: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Undo :func:`_encode_descending` for back-to-back runs at once.
+    """Undo :func:`_encode_descending` for back-to-back runs, in place.
 
     ``payload`` holds, run after run, a first value and then the positive
-    deltas down from it; ``counts`` is the length of every run. One
-    cumulative sum over the payload with the deltas negated rebuilds
-    every run; what it carried in from the runs before is taken off.
+    deltas down from it; ``counts`` is the length of every run. With the
+    deltas negated and every first value lowered by where the run before
+    it ends, one cumulative sum over the payload rebuilds every run. Only
+    arrays of one entry per run are made, so ``payload`` may be a view:
+    the decoder passes the reversed view of the buffer the index keeps.
+    Returns ``payload``.
     """
+    if payload.shape[0] == 0:
+        return payload
     starts = run_offsets(counts)[:-1][counts > 0]
-    signed = np.negative(payload)
-    signed[starts] = payload[starts]
-    rebuilt = np.cumsum(signed)
-    carried = rebuilt[starts] - payload[starts]
-    rebuilt -= np.repeat(carried, counts[counts > 0])
-    return rebuilt
+    firsts = payload[starts]
+    payload[starts] = 0
+    np.negative(payload, out=payload)
+    lasts = firsts + np.add.reduceat(payload, starts)
+    payload[starts] = firsts
+    payload[starts[1:]] -= lasts[:-1]
+    np.cumsum(payload, out=payload)
+    return payload
+
+
+def _handed_over(*buffers: np.ndarray) -> None:
+    """Freeze buffers a decoder made, so that the index keeps them as they
+    are (see ``ColumnarSessionIndex``) instead of copying them."""
+    for buffer in buffers:
+        buffer.setflags(write=False)
 
 
 def serialize_index(index: SessionIndex) -> bytes:
@@ -226,24 +284,38 @@ def _decode_index(data: bytes) -> IndexColumns:
             f"{position} of {values.shape[0]}"
         )
 
+    # Everything that is not a count or an item header is payload. Each
+    # section is cut out of ``values`` once, into the array that is kept.
     session_item_offsets = run_offsets(np.asarray(session_counts, dtype=np.int64))
-    heads = np.asarray(item_heads, dtype=np.int64)
-    posting_counts = values[heads + 2]
-    # Everything that is not a count or an item header is payload.
-    is_payload = np.ones(values.shape[0], dtype=bool)
+    del session_counts
+    is_payload = np.ones(items_start, dtype=bool)
     is_payload[session_item_offsets[:-1] + np.arange(num_sessions)] = False
+    session_item_values = values[:items_start][is_payload]
+    heads = np.asarray(item_heads, dtype=np.int64)
+    del item_heads
+    posting_counts = values[heads + 2]
+    is_payload = np.ones(values.shape[0] - items_start, dtype=bool)
     for field in range(3):
-        is_payload[heads + field] = False
+        is_payload[heads - items_start + field] = False
+    # The posting payload is taken last varint first: the buffer the
+    # columnar index keeps is the ascending mirror of the stored runs,
+    # which the rebuild fills through its reversed view.
+    mirror = values[items_start:][::-1][is_payload[::-1]]
+    item_ids, item_frequencies = values[heads], values[heads + 1]
+    del values, is_payload
+    posting_offsets = run_offsets(posting_counts)
+    _rebuild_descending(mirror[::-1], posting_counts)
+    _handed_over(
+        item_ids, item_frequencies, posting_offsets, mirror, session_item_offsets
+    )
     return IndexColumns(
-        item_ids=values[heads],
-        item_frequencies=values[heads + 1],
-        posting_offsets=run_offsets(posting_counts),
-        posting_sessions=_rebuild_descending(
-            values[items_start:][is_payload[items_start:]], posting_counts
-        ),
+        item_ids=item_ids,
+        item_frequencies=item_frequencies,
+        posting_offsets=posting_offsets,
+        posting_sessions=mirror[::-1],
         session_timestamps=timestamps,
         session_item_offsets=session_item_offsets,
-        session_item_values=values[:items_start][is_payload[:items_start]],
+        session_item_values=session_item_values,
         max_sessions_per_item=header["max_sessions_per_item"],
     )
 
@@ -254,7 +326,12 @@ def deserialize_index(data: bytes) -> SessionIndex:
 
 
 def serialize_columnar(index: ColumnarSessionIndex) -> bytes:
-    """Serialize a columnar index to the ``VMIC`` binary container."""
+    """Serialize a columnar index to the ``VMIC`` binary container.
+
+    The stored layout is the one the index is built from: descending
+    posting runs and item ids per session, both derived here from the
+    buffers the index holds.
+    """
     out = bytearray()
     out += COLUMNAR_MAGIC
     out += struct.pack("<I", COLUMNAR_FORMAT_VERSION)
@@ -263,8 +340,8 @@ def serialize_columnar(index: ColumnarSessionIndex) -> bytes:
         {
             "num_sessions": index.num_sessions,
             "num_items": index.num_items,
-            "posting_entries": int(index.posting_sessions.shape[0]),
-            "session_item_entries": int(index.session_item_values.shape[0]),
+            "posting_entries": int(index.posting_sessions_asc.shape[0]),
+            "session_item_entries": int(index.session_item_rows.shape[0]),
             "max_sessions_per_item": index.max_sessions_per_item,
         }
     ).encode("utf-8")
@@ -278,7 +355,7 @@ def serialize_columnar(index: ColumnarSessionIndex) -> bytes:
         (index.posting_sessions, "<i8"),
         (index.session_timestamps, "<f8"),
         (index.session_item_offsets, "<i8"),
-        (index.session_item_values, "<i8"),
+        (index.item_ids[index.session_item_rows], "<i8"),
     ):
         out += np.ascontiguousarray(buffer, dtype=dtype).tobytes()
 
@@ -291,7 +368,11 @@ def deserialize_columnar(data: bytes) -> ColumnarSessionIndex:
 
     The CRC is verified before anything else, so truncation and bit
     flips surface as ``ValueError`` exactly like the ``VMIS`` container;
-    the constructor's structural validation is a second line of defence.
+    the buffers must then fill the payload exactly, and the constructor's
+    structural validation is a further line of defence. Each kept buffer
+    is copied out of the file bytes once (the posting runs straight into
+    their ascending mirror) and handed over read-only; the item ids per
+    session are only read, to find their rows.
     """
     if len(data) < 12 or data[:4] != COLUMNAR_MAGIC:
         raise ValueError("not a VMIC columnar index file (bad magic)")
@@ -314,28 +395,39 @@ def deserialize_columnar(data: bytes) -> ColumnarSessionIndex:
     posting_entries = header["posting_entries"]
     session_item_entries = header["session_item_entries"]
 
-    def take(count: int, dtype: str) -> np.ndarray:
+    def view(count: int, dtype: str) -> np.ndarray:
         nonlocal offset
         end = offset + 8 * count
         if end > len(data) - 4:
             raise ValueError("columnar index file corrupted: buffer overrun")
         buffer = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
         offset = end
-        return buffer.copy()  # detach from (read-only) file bytes
+        return buffer
+
+    def take(count: int, dtype: str, reverse: bool = False) -> np.ndarray:
+        stored = view(count, dtype)
+        buffer = (stored[::-1] if reverse else stored).copy()
+        _handed_over(buffer)
+        return buffer
 
     item_ids = take(num_items, "<i8")
     item_frequencies = take(num_items, "<i8")
     posting_offsets = take(num_items + 1, "<i8")
-    posting_sessions = take(posting_entries, "<i8")
+    mirror = take(posting_entries, "<i8", reverse=True)
     session_timestamps = take(num_sessions, "<f8")
     session_item_offsets = take(num_sessions + 1, "<i8")
-    session_item_values = take(session_item_entries, "<i8")
+    session_item_values = view(session_item_entries, "<i8")
+    if offset != len(data) - 4:
+        raise ValueError(
+            "columnar index file corrupted: "
+            f"{len(data) - 4 - offset} bytes after the last buffer"
+        )
 
     return ColumnarSessionIndex(
         item_ids=item_ids,
         item_frequencies=item_frequencies,
         posting_offsets=posting_offsets,
-        posting_sessions=posting_sessions,
+        posting_sessions=mirror[::-1],
         session_timestamps=session_timestamps,
         session_item_offsets=session_item_offsets,
         session_item_values=session_item_values,

@@ -40,6 +40,10 @@ concurrent frontend connections behave like the paper's multi-core pods.
   ``Expect`` are looked at. Everything else is refused with a JSON body
   and ``Connection: close`` (400, 414, 431, 501, 505) and counted as a
   bad request; DESIGN.md §8 has the list and the reasons.
+* The server is ``socketserver``'s threading TCP server, not
+  ``http.server``'s, and the ``Date`` line is written by
+  :func:`imf_fixdate`, not by ``email.utils``: a pod loads neither
+  ``http.client``, ``email`` nor ``ssl``.
 * Every response is one ``bytes`` (status line, ``Server``, ``Date``,
   ``Content-Type``, ``Content-Length``, body) handed to the socket in one
   write, so headers and body are one segment. Written separately, the
@@ -78,10 +82,8 @@ import socket
 import sys
 import threading
 import time
-from email.utils import formatdate
 from http import HTTPStatus
-from http.server import ThreadingHTTPServer
-from socketserver import StreamRequestHandler
+from socketserver import StreamRequestHandler, TCPServer, ThreadingMixIn
 from typing import Any, Iterable
 
 from repro.core.deadline import Clock
@@ -725,13 +727,41 @@ def _shutdown_socket(connection: socket.socket, how: int) -> None:
         pass  # its handler closed it first
 
 
-class _Server(ThreadingHTTPServer):
+_WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = (
+    "Jan", "Feb", "Mar", "Apr", "May", "Jun",
+    "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
+)
+
+
+def imf_fixdate(seconds: int) -> str:
+    """HTTP's date format for a POSIX second, ``Sun, 06 Nov 1994 08:49:37
+    GMT``: English names whatever the locale, as
+    ``email.utils.formatdate(seconds, usegmt=True)`` writes it."""
+    t = time.gmtime(seconds)
+    return "%s, %02d %s %04d %02d:%02d:%02d GMT" % (
+        _WEEKDAYS[t.tm_wday],
+        t.tm_mday,
+        _MONTHS[t.tm_mon - 1],
+        t.tm_year,
+        t.tm_hour,
+        t.tm_min,
+        t.tm_sec,
+    )
+
+
+class _Server(ThreadingMixIn, TCPServer):
     """One daemon thread per open connection, at most ``MAX_CONNECTIONS``.
 
-    The stdlib default ``request_queue_size`` of 5 drops connections under
+    What ``http.server.ThreadingHTTPServer`` adds to these two classes is
+    the address reuse set here and a ``getfqdn`` lookup of the bound host
+    at start-up, whose result nothing here reads; importing it would load
+    ``http.client``, ``email`` and ``ssl`` (OpenSSL) into every pod. The
+    stdlib default ``request_queue_size`` of 5 drops connections under
     the bursty frontend traffic this service exists to absorb.
     """
 
+    allow_reuse_address = True
     request_queue_size = 128
     daemon_threads = True
 
@@ -781,7 +811,7 @@ class _Server(ThreadingHTTPServer):
         now = int(self._wall_clock())
         second, line = self._date
         if second != now:
-            line = b"Date: %s\r\n" % formatdate(now, usegmt=True).encode("ascii")
+            line = b"Date: %s\r\n" % imf_fixdate(now).encode("ascii")
             self._date = (now, line)
         return line
 

@@ -44,11 +44,15 @@ stale prefix as if it were current.
 from __future__ import annotations
 
 import bisect
-import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
+
+# ``hashlib.blake2b`` is this very constructor: hashlib re-exports it from
+# ``_blake2`` and never takes BLAKE2 from OpenSSL. Importing hashlib itself
+# would load OpenSSL into every pod for nothing.
+from _blake2 import blake2b
 
 from repro.core.contracts import happens_before
 from repro.core.deadline import Clock, Deadline
@@ -74,7 +78,7 @@ RING_SIZE = 1 << _RING_BITS
 
 
 def _hash64(data: str) -> int:
-    digest = hashlib.blake2b(data.encode("utf-8"), digest_size=8).digest()
+    digest = blake2b(data.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 

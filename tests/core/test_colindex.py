@@ -11,6 +11,8 @@ unknown query items, short result lists, callable match weights).
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -97,10 +99,45 @@ class TestConstructionRoundtrip:
             ].tolist()
             assert mirrored == run[::-1]
 
-    def test_posting_timestamps_derived_from_sessions(self, toy_index):
+    def test_posting_sessions_is_a_view_of_the_mirror(self, toy_index):
         columnar = ColumnarSessionIndex.from_session_index(toy_index)
-        expected = columnar.session_timestamps[columnar.posting_sessions]
-        assert np.array_equal(columnar.posting_timestamps, expected)
+        stored = columnar.posting_sessions
+        assert np.shares_memory(stored, columnar.posting_sessions_asc)
+        assert stored.tolist() == columnar.posting_sessions_asc.tolist()[::-1]
+        assert not stored.flags.writeable
+
+
+# ``small_log`` at m = 50: one SHA-256 over what ``sessions_for_item`` (every
+# item and one unknown), ``items_of`` (every session), ``to_session_index``
+# and ``memory_profile`` returned while the index held the descending runs
+# and the item ids of every session as buffers of their own.
+SURFACE_SHA256 = "a3009e00c0533149d270fc3e8748a3170db69fbf51dfba2718921d4f3333315f"
+
+
+def test_read_surface_returns_what_it_did(small_log):
+    index = SessionIndex.from_clicks(small_log, max_sessions_per_item=50)
+    columnar = ColumnarSessionIndex.from_session_index(index)
+    digest = hashlib.sha256()
+    items = sorted(index.item_to_sessions) + [10**9]
+    digest.update(repr([columnar.sessions_for_item(i) for i in items]).encode())
+    digest.update(
+        repr([columnar.items_of(s) for s in range(columnar.num_sessions)]).encode()
+    )
+    back = columnar.to_session_index()
+    digest.update(
+        repr(
+            (
+                back.item_to_sessions,
+                back.session_timestamps,
+                back.session_items,
+                back.item_session_counts,
+                back.max_sessions_per_item,
+            )
+        ).encode()
+    )
+    digest.update(repr(columnar.memory_profile()).encode())
+    assert digest.hexdigest() == SURFACE_SHA256
+    assert columnar.memory_profile() == index.memory_profile()
 
 
 class TestConstructionValidation:
@@ -166,6 +203,15 @@ class TestConstructionValidation:
     def test_session_items_need_a_posting_row(self):
         with pytest.raises(ValueError, match="no posting row"):
             ColumnarSessionIndex(**self._kwargs(session_item_values=[1, 7]))
+
+    @pytest.mark.parametrize(
+        "timestamps", [[100.0], [100.0, 200.0, 300.0]], ids=["fewer", "more"]
+    )
+    def test_one_timestamp_per_session(self, timestamps):
+        """Two sessions (three offsets) and not two timestamps: refused,
+        not an IndexError from a gather and not a silently short ``t``."""
+        with pytest.raises(ValueError, match="session_timestamps"):
+            ColumnarSessionIndex(**self._kwargs(session_timestamps=timestamps))
 
 
 class TestEmptyPostingRuns:

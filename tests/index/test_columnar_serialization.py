@@ -9,6 +9,7 @@ index — and the lifecycle registry must version either layout.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 import zlib
 
@@ -25,23 +26,15 @@ from repro.index.serialization import (
     deserialize_artifact,
     deserialize_columnar,
     load_artifact,
+    load_columnar,
     save_artifact,
+    save_index,
     serialize_artifact,
     serialize_columnar,
 )
 
-BUFFER_NAMES = (
-    "item_ids",
-    "item_frequencies",
-    "posting_offsets",
-    "posting_sessions",
-    "posting_timestamps",
-    "session_timestamps",
-    "session_item_offsets",
-    "session_item_values",
-    "session_item_rows",
-    "idf_values",
-)
+# What the index holds, and the stored posting runs it derives.
+BUFFER_NAMES = ColumnarSessionIndex.__frozen_buffers__ + ("posting_sessions",)
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +94,43 @@ class TestColumnarRoundtrip:
         for sequence in list(small_log.session_item_sequences().values())[:20]:
             prefix = sequence[: max(1, len(sequence) // 2)]
             assert model.recommend(prefix) == heap.recommend(prefix)
+
+
+# Both containers of ``small_log`` (m = 50), recorded while the columnar
+# index still held the descending posting runs and every session's item
+# ids as buffers of their own: (length, SHA-256).
+VMIS_BYTES = (
+    15296,
+    "61983d3c5aacb750547f22ebf8a197a384d6c052b8773ce60d9000c9033a2395",
+)
+VMIC_BYTES = (
+    58547,
+    "ff9de7658b558eb234a7c6e05899f7f25dbc8672fcc8696f3138796b00db1ce8",
+)
+
+
+def fingerprint(data: bytes) -> tuple[int, str]:
+    return len(data), hashlib.sha256(data).hexdigest()
+
+
+class TestArtifactBytesDoNotMove:
+    """What the index holds changed; what it writes must not."""
+
+    def test_both_containers_write_the_recorded_bytes(self, small_log, tmp_path):
+        index = SessionIndex.from_clicks(small_log, max_sessions_per_item=50)
+        save_index(index, tmp_path / "index.vmis")
+        assert fingerprint((tmp_path / "index.vmis").read_bytes()) == VMIS_BYTES
+        vmic = serialize_columnar(ColumnarSessionIndex.from_session_index(index))
+        assert fingerprint(vmic) == VMIC_BYTES
+
+    def test_a_loaded_index_writes_the_bytes_it_was_loaded_from(
+        self, small_log, tmp_path
+    ):
+        index = SessionIndex.from_clicks(small_log, max_sessions_per_item=50)
+        save_index(index, tmp_path / "index.vmis")
+        vmic = serialize_columnar(load_columnar(tmp_path / "index.vmis"))
+        assert fingerprint(vmic) == VMIC_BYTES
+        assert serialize_columnar(deserialize_columnar(vmic)) == vmic
 
 
 class TestArtifactDispatch:
@@ -163,6 +193,15 @@ class TestColumnarCorruptionDetection:
         data = serialize_columnar(columnar_index)
         with pytest.raises(ValueError):
             deserialize_columnar(data + b"\x00\x01\x02")
+
+    def test_trailing_bytes_behind_a_valid_crc(self, columnar_index):
+        """Bytes after the last buffer are refused even when the CRC was
+        recomputed over them, as the ``VMIS`` decoder refuses records that
+        end before its payload does."""
+        body = serialize_columnar(columnar_index)[:-4] + bytes(16)
+        sealed = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+        with pytest.raises(ValueError, match="after the last buffer"):
+            deserialize_columnar(sealed)
 
 
 class TestRegistryPromotion:

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import calendar
 import json
 import re
 import urllib.error
 import urllib.request
+from email.utils import formatdate
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.serving.app import ServingCluster
 from repro.serving.http import (
     BadRequest,
     SerenadeHTTPServer,
     SerenadeService,
+    imf_fixdate,
     parse_batch_payload,
     parse_recommend_payload,
 )
@@ -47,6 +52,29 @@ def get(server, path):
         f"http://127.0.0.1:{server.port}{path}", timeout=5
     ) as response:
         return response.status, response.read().decode("utf-8")
+
+
+def utc_second(*fields: int) -> int:
+    return calendar.timegm(fields + (0,) * (6 - len(fields)))
+
+
+class TestDateLine:
+    """The ``Date`` line is written without ``email.utils``, and must
+    read exactly as ``formatdate(t, usegmt=True)`` did."""
+
+    @given(seconds=st.integers(0, utc_second(9999, 12, 31, 23, 59, 59)))
+    @example(seconds=0)
+    @example(seconds=utc_second(1972, 2, 29))
+    @example(seconds=utc_second(1999, 12, 31, 23, 59, 59))
+    @example(seconds=utc_second(2000, 1, 1))
+    @example(seconds=utc_second(2000, 2, 29, 23, 59, 59))
+    @example(seconds=utc_second(2000, 3, 1))
+    @example(seconds=2**31)
+    @example(seconds=utc_second(2100, 2, 28, 23, 59, 59))
+    @example(seconds=utc_second(2100, 3, 1))
+    @example(seconds=utc_second(9999, 12, 31, 23, 59, 59))
+    def test_equals_email_formatdate(self, seconds):
+        assert imf_fixdate(seconds) == formatdate(seconds, usegmt=True)
 
 
 class TestPayloadParsing:

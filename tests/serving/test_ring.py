@@ -11,7 +11,9 @@ owned fraction of the keyspace, nothing more).
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -94,6 +96,28 @@ class TestLookup:
         for i in range(300):
             key = f"session-{i}"
             assert first.preference_list(key, 2) == second.preference_list(key, 2)
+
+
+GOLDEN_LEADERS = Path(__file__).with_name("ring_leaders_golden.json")
+
+
+class TestPlacementDoesNotMove:
+    """A pod restarted on new code must find its sessions where the old
+    code put them: the leaders of 2 000 fixed keys, recorded while the
+    ring hash was ``hashlib.blake2b`` (it is ``_blake2.blake2b`` now)."""
+
+    @pytest.mark.parametrize("pods", [2, 3])
+    def test_leaders_equal_the_recorded_ones(self, pods):
+        golden = json.loads(GOLDEN_LEADERS.read_text())
+        ring = ring_with(
+            [f"pod-{n}" for n in range(pods)],
+            virtual_nodes=golden["virtual_nodes"],
+        )
+        leaders = "".join(
+            ring.primary(f"session-{key}").removeprefix("pod-")
+            for key in range(golden["keys"])
+        )
+        assert leaders == golden[str(pods)]
 
 
 class TestOwnedFraction:
