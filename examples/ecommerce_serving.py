@@ -13,9 +13,9 @@ import tempfile
 from pathlib import Path
 
 from repro.cluster import ClusterSimulator, TrafficGenerator, format_timeline, ramp_rate
-from repro.core import VMISKNN
+from repro.core import VMISKNN, SessionIndex
 from repro.data import generate_clickstream, temporal_split
-from repro.index import IndexBuilder, load_index, save_index
+from repro.index import load_index, save_index
 from repro.serving import (
     BusinessRules,
     RecommendationRequest,
@@ -33,14 +33,14 @@ def main() -> None:
     )
     split = temporal_split(log, test_days=1)
 
-    builder = IndexBuilder(max_sessions_per_item=500)
-    index = builder.build(list(split.train))
-    report = builder.last_report
+    index = SessionIndex.from_clicks(list(split.train), max_sessions_per_item=500)
+    profile = index.memory_profile()
+    kept = profile["posting_entries"] / sum(index.item_session_counts.values())
     print(
-        f"index built: {report.sessions:,} sessions, "
-        f"{report.distinct_items:,} items, "
-        f"{report.postings_after_truncation:,} postings "
-        f"({report.truncation_ratio:.0%} kept after truncation to m)"
+        f"index built: {profile['num_sessions']:,} sessions, "
+        f"{profile['num_items']:,} items, "
+        f"{profile['posting_entries']:,} postings "
+        f"({kept:.0%} kept after truncation to m)"
     )
 
     artifact = Path(tempfile.mkdtemp()) / "daily-index.vmis"

@@ -495,9 +495,12 @@ def cmd_build_index(args) -> int:
 
     log = ClickLog.from_tsv(args.clicks)
     started = time.perf_counter()
-    index = SessionIndex.from_clicks(list(log), max_sessions_per_item=args.m)
-    elapsed = time.perf_counter() - started
-    size = save_index(index, args.out)
+    try:
+        index = SessionIndex.from_clicks(list(log), max_sessions_per_item=args.m)
+        elapsed = time.perf_counter() - started
+        size = save_index(index, args.out)
+    except ValueError as error:
+        return _refuse(f"cannot build an index from {args.clicks}: {error}")
     print(
         f"built index over {index.num_sessions:,} sessions / "
         f"{index.num_items:,} items in {elapsed:.1f}s; "
@@ -515,9 +518,8 @@ def _refuse(message: str) -> int:
 def _open_artifact(path: str, engine: str):
     """The index ``serve`` and ``recommend`` score from.
 
-    The columnar engine takes either container straight into the buffers
-    it serves from; the heap oracle needs the row-oriented index, which
-    only the ``VMIS`` container holds.
+    The columnar engine decodes the artifact straight into the buffers it
+    serves from; the heap oracle gets the row-oriented index.
     """
     from repro.index.serialization import load_columnar, load_index
 

@@ -86,7 +86,7 @@ additions of its own session only, in the order ``recommend`` makes them.
 ``repro.index.serialization.load_columnar`` wraps the arrays of the one
 artifact decoder; :meth:`ColumnarSessionIndex.from_session_index` packs an
 existing row-oriented index. A serving process uses the second and never
-holds the row-oriented index. The decoders hand their buffers over
+holds the row-oriented index. The decoder hands its buffers over
 read-only and the constructor keeps a read-only buffer as it is, so no
 buffer is copied twice on the way from the file.
 
@@ -152,7 +152,7 @@ def _as_array(values: Any, dtype: type) -> np.ndarray:
     conforming array comes back uncopied from the conversion; the caller
     would keep write access to a buffer we are about to freeze and share,
     so it is copied, unless it is read-only down to the array that owns
-    its memory. The artifact decoders hand their buffers over that way,
+    its memory. The artifact decoder hands its buffers over that way,
     so none of them is copied a second time.
     """
     arr = np.ascontiguousarray(values, dtype=dtype)
@@ -239,7 +239,8 @@ class ColumnarSessionIndex:
 
     It holds eight buffers, each a contiguous ``int64``/``float64`` numpy
     array: six the scorer reads, and ``item_frequencies`` and
-    ``session_timestamps``, which writing the index back needs.
+    ``session_timestamps``, which writing the index back as a ``VMIS``
+    artifact (through :meth:`to_session_index`) needs.
 
     Attributes:
         item_ids: distinct item ids with a posting run, ascending — row
@@ -269,8 +270,8 @@ class ColumnarSessionIndex:
     neither array: :attr:`posting_sessions` is a reversed view of the
     mirror, and the item ids of a session are gathered from
     ``item_ids`` by the cold readers that want them (:meth:`items_of`,
-    :meth:`to_session_index`, the ``VMIC`` writer). ``_item_row`` is the
-    item → row hash of the request path.
+    :meth:`to_session_index`). ``_item_row`` is the item → row hash of
+    the request path.
     """
 
     def __init__(

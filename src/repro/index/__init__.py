@@ -40,16 +40,10 @@ if TYPE_CHECKING:
     )
     from repro.index.maintenance import IncrementalIndexer, rebuild_equivalent
     from repro.index.serialization import (
-        deserialize_artifact,
-        deserialize_columnar,
         deserialize_index,
-        load_artifact,
         load_columnar,
         load_index,
-        save_artifact,
         save_index,
-        serialize_artifact,
-        serialize_columnar,
         serialize_index,
     )
 
@@ -82,16 +76,10 @@ _EXPORTS = {
     ),
     "repro.index.maintenance": ("IncrementalIndexer", "rebuild_equivalent"),
     "repro.index.serialization": (
-        "deserialize_artifact",
-        "deserialize_columnar",
         "deserialize_index",
-        "load_artifact",
         "load_columnar",
         "load_index",
-        "save_artifact",
         "save_index",
-        "serialize_artifact",
-        "serialize_columnar",
         "serialize_index",
     ),
 }

@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from repro.core.colindex import ColumnarSessionIndex, VMISKNNColumnar
 from repro.core.index import SessionIndex
 from repro.core.types import Click, ItemId
-from repro.core.vmis import VMISKNN
 from repro.index.lifecycle.gate import CanaryQualityGate, GatePolicy, GateReport
 from repro.index.lifecycle.registry import (
     IndexManifest,
@@ -164,11 +164,12 @@ class DailyIndexLifecycle:
         if cluster is None:
             return outcome
 
-        index = self.registry.load(version)
+        # Converted once, here: every pod the factory builds shares it.
+        index = ColumnarSessionIndex.from_session_index(self.registry.load(version))
         policy = self.gate_policy
         controller = RolloutController(cluster, self.rollout_policy)
         outcome.rollout = controller.run(
-            lambda: VMISKNN(
+            lambda: VMISKNNColumnar(
                 index, m=policy.m, k=policy.k, exclude_current_items=True
             ),
             version=version,

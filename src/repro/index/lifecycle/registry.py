@@ -6,7 +6,9 @@ exactly where a truncated upload or a bit-flip takes the fleet down, so
 the registry hardens it:
 
 * every build becomes an immutable **version directory**
-  ``v000042/{index.vmis, manifest.json}``; the manifest records the
+  ``v000042/{index.vmis, manifest.json}``: the index in the one ``VMIS``
+  container (:func:`~repro.index.serialization.serialize_index`), which
+  is what ``repro serve`` opens, beside a manifest that records the
   SHA-256 of the artifact, build statistics and click-log provenance
   (source, parse/validation reports);
 * artifacts and manifests are published **atomically**: written to a
@@ -32,12 +34,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+from repro.core.index import SessionIndex
 from repro.core.locking import guarded_by
-from repro.index.serialization import (
-    IndexArtifact,
-    deserialize_artifact,
-    serialize_artifact,
-)
+from repro.index.serialization import deserialize_index, serialize_index
 
 ARTIFACT_NAME = "index.vmis"
 MANIFEST_NAME = "manifest.json"
@@ -123,18 +122,13 @@ class IndexRegistry:
 
     def register(
         self,
-        index: IndexArtifact,
+        index: SessionIndex,
         build_stats: dict | None = None,
         provenance: dict | None = None,
     ) -> IndexManifest:
-        """Serialise, checksum and atomically publish a new version.
-
-        Accepts either index layout — the dict/list ``SessionIndex``
-        (``VMIS`` container) or the numpy ``ColumnarSessionIndex``
-        (``VMIC`` container); :func:`load` dispatches on the magic.
-        """
+        """Serialise, checksum and atomically publish a new version."""
         version = self._next_version()
-        data = serialize_artifact(index)
+        data = serialize_index(index)
         manifest = IndexManifest(
             version=version,
             checksum_sha256=hashlib.sha256(data).hexdigest(),
@@ -231,15 +225,16 @@ class IndexRegistry:
             )
         return data
 
-    def load(self, version: str) -> IndexArtifact:
+    def load(self, version: str) -> SessionIndex:
         """Load one version, verifying checksum before deserialisation."""
-        return deserialize_artifact(self._read_verified(version))
+        return deserialize_index(self._read_verified(version))
 
-    def load_current(self) -> tuple[IndexArtifact, str]:
+    def load_current(self) -> tuple[SessionIndex, str]:
         """Load the promoted version, falling back past corrupt artifacts.
 
         Walks from CURRENT towards older versions until one verifies and
-        deserialises; every skipped version is recorded in
+        deserialises (a file that is not ``VMIS``, whatever its checksum,
+        does not); every skipped version is recorded in
         :attr:`last_fallbacks`. Raises :class:`RegistryError` only when
         *no* version at or below CURRENT is loadable.
         """

@@ -28,23 +28,12 @@ they are, so a pod that serves the columnar layout never builds the
 row-oriented index on the way. Values are ``int64``: a varint wider than
 63 bits is refused.
 
-The columnar index (:class:`~repro.core.colindex.ColumnarSessionIndex`)
-has its own container, magic ``VMIC``: the same envelope (magic, u32
-version, length-prefixed JSON header, trailing CRC32) around the raw
-little-endian buffers in a fixed order — ``item_ids``,
-``item_frequencies``, ``posting_offsets``, ``posting_sessions`` (int64),
-``session_timestamps`` (float64), ``session_item_offsets``,
-``session_item_values`` (int64) — which must fill the payload exactly.
-That is the layout as built; the index holds the posting runs as their
-ascending mirror and the session items as posting rows, and the writer
-derives the stored form from those. No timestamp per posting is stored
-or held: ids carry the recency order.
-
-Both decoders hand the buffers they make over read-only, which the
-constructor keeps without a second copy: loading peaks at the
-artifact's bytes plus about twice the bytes the index holds.
-:func:`serialize_artifact` / :func:`deserialize_artifact` dispatch on the
-artifact type / magic so the registry can version either layout.
+``VMIS`` is the only container: a file with any other magic, the
+columnar container earlier versions wrote included, is refused as bad
+magic. The decoder hands the buffers it makes over
+read-only, which the columnar constructor keeps without a second copy:
+loading peaks at the artifact's bytes plus about twice the bytes the
+index holds.
 """
 
 from __future__ import annotations
@@ -53,7 +42,6 @@ import json
 import struct
 import zlib
 from pathlib import Path
-from typing import Union
 
 import numpy as np
 
@@ -62,11 +50,6 @@ from repro.core.index import IndexColumns, SessionIndex, run_offsets
 
 MAGIC = b"VMIS"
 FORMAT_VERSION = 1
-
-COLUMNAR_MAGIC = b"VMIC"
-COLUMNAR_FORMAT_VERSION = 1
-
-IndexArtifact = Union[SessionIndex, ColumnarSessionIndex]
 
 
 def _write_varint(out: bytearray, value: int) -> None:
@@ -193,7 +176,11 @@ def _handed_over(*buffers: np.ndarray) -> None:
 
 
 def serialize_index(index: SessionIndex) -> bytes:
-    """Serialize an index to the binary container format."""
+    """Serialize an index to the binary container format.
+
+    Raises ``ValueError`` for a value the container cannot hold: a
+    timestamp that is not an integer in [0, 2**64), a negative id.
+    """
     out = bytearray()
     out += MAGIC
     out += struct.pack("<I", FORMAT_VERSION)
@@ -208,7 +195,15 @@ def serialize_index(index: SessionIndex) -> bytes:
     out += struct.pack("<I", len(header))
     out += header
 
-    out += struct.pack(f"<{index.num_sessions}Q", *index.session_timestamps)
+    try:
+        out += struct.pack(f"<{index.num_sessions}Q", *index.session_timestamps)
+    except struct.error:
+        for stamp in index.session_timestamps:
+            if not isinstance(stamp, (int, np.integer)) or not 0 <= stamp < 1 << 64:
+                raise ValueError(
+                    f"timestamp {stamp!r} is not an integer in [0, 2**64)"
+                ) from None
+        raise
 
     for items in index.session_items:
         _write_varint(out, len(items))
@@ -325,130 +320,6 @@ def deserialize_index(data: bytes) -> SessionIndex:
     return SessionIndex.from_columns(_decode_index(data))
 
 
-def serialize_columnar(index: ColumnarSessionIndex) -> bytes:
-    """Serialize a columnar index to the ``VMIC`` binary container.
-
-    The stored layout is the one the index is built from: descending
-    posting runs and item ids per session, both derived here from the
-    buffers the index holds.
-    """
-    out = bytearray()
-    out += COLUMNAR_MAGIC
-    out += struct.pack("<I", COLUMNAR_FORMAT_VERSION)
-
-    header = json.dumps(
-        {
-            "num_sessions": index.num_sessions,
-            "num_items": index.num_items,
-            "posting_entries": int(index.posting_sessions_asc.shape[0]),
-            "session_item_entries": int(index.session_item_rows.shape[0]),
-            "max_sessions_per_item": index.max_sessions_per_item,
-        }
-    ).encode("utf-8")
-    out += struct.pack("<I", len(header))
-    out += header
-
-    for buffer, dtype in (
-        (index.item_ids, "<i8"),
-        (index.item_frequencies, "<i8"),
-        (index.posting_offsets, "<i8"),
-        (index.posting_sessions, "<i8"),
-        (index.session_timestamps, "<f8"),
-        (index.session_item_offsets, "<i8"),
-        (index.item_ids[index.session_item_rows], "<i8"),
-    ):
-        out += np.ascontiguousarray(buffer, dtype=dtype).tobytes()
-
-    out += struct.pack("<I", zlib.crc32(bytes(out)) & 0xFFFFFFFF)
-    return bytes(out)
-
-
-def deserialize_columnar(data: bytes) -> ColumnarSessionIndex:
-    """Parse a ``VMIC`` container back into a columnar index.
-
-    The CRC is verified before anything else, so truncation and bit
-    flips surface as ``ValueError`` exactly like the ``VMIS`` container;
-    the buffers must then fill the payload exactly, and the constructor's
-    structural validation is a further line of defence. Each kept buffer
-    is copied out of the file bytes once (the posting runs straight into
-    their ascending mirror) and handed over read-only; the item ids per
-    session are only read, to find their rows.
-    """
-    if len(data) < 12 or data[:4] != COLUMNAR_MAGIC:
-        raise ValueError("not a VMIC columnar index file (bad magic)")
-    stored_crc = struct.unpack("<I", data[-4:])[0]
-    actual_crc = zlib.crc32(data[:-4]) & 0xFFFFFFFF
-    if stored_crc != actual_crc:
-        raise ValueError(
-            f"columnar index file corrupted: "
-            f"crc {actual_crc:#x} != stored {stored_crc:#x}"
-        )
-    version = struct.unpack("<I", data[4:8])[0]
-    if version != COLUMNAR_FORMAT_VERSION:
-        raise ValueError(f"unsupported columnar format version {version}")
-
-    header_len = struct.unpack("<I", data[8:12])[0]
-    offset = 12 + header_len
-    header = json.loads(data[12:offset].decode("utf-8"))
-    num_sessions = header["num_sessions"]
-    num_items = header["num_items"]
-    posting_entries = header["posting_entries"]
-    session_item_entries = header["session_item_entries"]
-
-    def view(count: int, dtype: str) -> np.ndarray:
-        nonlocal offset
-        end = offset + 8 * count
-        if end > len(data) - 4:
-            raise ValueError("columnar index file corrupted: buffer overrun")
-        buffer = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
-        offset = end
-        return buffer
-
-    def take(count: int, dtype: str, reverse: bool = False) -> np.ndarray:
-        stored = view(count, dtype)
-        buffer = (stored[::-1] if reverse else stored).copy()
-        _handed_over(buffer)
-        return buffer
-
-    item_ids = take(num_items, "<i8")
-    item_frequencies = take(num_items, "<i8")
-    posting_offsets = take(num_items + 1, "<i8")
-    mirror = take(posting_entries, "<i8", reverse=True)
-    session_timestamps = take(num_sessions, "<f8")
-    session_item_offsets = take(num_sessions + 1, "<i8")
-    session_item_values = view(session_item_entries, "<i8")
-    if offset != len(data) - 4:
-        raise ValueError(
-            "columnar index file corrupted: "
-            f"{len(data) - 4 - offset} bytes after the last buffer"
-        )
-
-    return ColumnarSessionIndex(
-        item_ids=item_ids,
-        item_frequencies=item_frequencies,
-        posting_offsets=posting_offsets,
-        posting_sessions=mirror[::-1],
-        session_timestamps=session_timestamps,
-        session_item_offsets=session_item_offsets,
-        session_item_values=session_item_values,
-        max_sessions_per_item=header["max_sessions_per_item"],
-    )
-
-
-def serialize_artifact(index: IndexArtifact) -> bytes:
-    """Serialize either index layout, dispatching on the artifact type."""
-    if isinstance(index, ColumnarSessionIndex):
-        return serialize_columnar(index)
-    return serialize_index(index)
-
-
-def deserialize_artifact(data: bytes) -> IndexArtifact:
-    """Parse either container, dispatching on the leading magic."""
-    if data[:4] == COLUMNAR_MAGIC:
-        return deserialize_columnar(data)
-    return deserialize_index(data)
-
-
 def save_index(index: SessionIndex, path: str | Path) -> int:
     """Write an index artifact; returns the number of bytes written."""
     data = serialize_index(index)
@@ -462,24 +333,9 @@ def load_index(path: str | Path) -> SessionIndex:
 
 
 def load_columnar(path: str | Path) -> ColumnarSessionIndex:
-    """Load either container as the columnar index a pod serves from.
+    """Load an artifact as the columnar index a pod serves from.
 
-    A ``VMIS`` artifact is decoded straight into the columnar buffers;
-    the row-oriented :class:`SessionIndex` is never built.
+    The artifact is decoded straight into the columnar buffers; the
+    row-oriented :class:`SessionIndex` is never built.
     """
-    data = Path(path).read_bytes()
-    if data[:4] == COLUMNAR_MAGIC:
-        return deserialize_columnar(data)
-    return ColumnarSessionIndex(**_decode_index(data)._asdict())
-
-
-def save_artifact(index: IndexArtifact, path: str | Path) -> int:
-    """Write either index layout; returns the number of bytes written."""
-    data = serialize_artifact(index)
-    Path(path).write_bytes(data)
-    return len(data)
-
-
-def load_artifact(path: str | Path) -> IndexArtifact:
-    """Load an artifact of either layout, dispatching on its magic."""
-    return deserialize_artifact(Path(path).read_bytes())
+    return ColumnarSessionIndex(**_decode_index(Path(path).read_bytes())._asdict())

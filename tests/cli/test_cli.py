@@ -112,6 +112,24 @@ class TestCommands:
         save_index(IndexBuilder(max_sessions_per_item=20).build(clicks), loop)
         assert out.read_bytes() == array.read_bytes() == loop.read_bytes()
 
+    @pytest.mark.parametrize(
+        "row, offending",
+        [("1\t5\t-5", "-5"), ("1\t-3\t100", "-3")],
+        ids=["negative-timestamp", "negative-item"],
+    )
+    def test_build_index_refuses_what_the_artifact_cannot_hold(
+        self, tmp_path, capsys, row, offending
+    ):
+        clicks = tmp_path / "bad.tsv"
+        clicks.write_text(f"session_id\titem_id\ttimestamp\n{row}\n")
+        out = tmp_path / "bad.vmis"
+        assert main(["build-index", str(clicks), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and offending in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("verb", ["build-index", "evaluate"])
     def test_workers_option_is_gone(self, clicks_tsv, tmp_path, capsys, verb):
         args = [verb, str(clicks_tsv), "--workers", "2"]
@@ -548,82 +566,19 @@ class TestServeCommand:
 
 
 class TestArtifactContainers:
-    """`serve` and `recommend` open both containers (`VMIS`, and the `VMIC`
-    the registry writes for the columnar layout) and refuse anything else
-    with one line, not a traceback."""
-
-    SESSION = [17, 42, 3]
-
-    @pytest.fixture(scope="class")
-    def columnar_artifact(self, index_artifact, tmp_path_factory):
-        from repro.core.colindex import ColumnarSessionIndex
-        from repro.index.serialization import load_index, save_artifact
-
-        path = tmp_path_factory.mktemp("cli-vmic") / "idx.vmic"
-        save_artifact(
-            ColumnarSessionIndex.from_session_index(load_index(index_artifact)), path
-        )
-        assert path.read_bytes()[:4] == b"VMIC"
-        return path
-
-    @staticmethod
-    def served_answer(artifact, session):
-        """Items `python -m repro serve <artifact>` recommends for `session`,
-        asked over a real socket."""
-        src = Path(__file__).resolve().parents[2] / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(src), *filter(None, [env.get("PYTHONPATH")])]
-        )
-        child = subprocess.Popen(
-            [sys.executable, "-u", "-m", "repro", "serve", str(artifact),
-             "--port", "0", "--pods", "1"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-        )
-        try:
-            banner = child.stdout.readline()
-            match = re.search(r"http://127\.0\.0\.1:(\d+)", banner)
-            assert match, (banner, child.stderr.read())
-            request = urllib.request.Request(
-                f"http://127.0.0.1:{match.group(1)}/v1/recommend_batch",
-                data=json.dumps({"sessions": [session], "count": 10}).encode(),
-            )
-            with urllib.request.urlopen(request, timeout=5) as response:
-                return json.load(response)["results"][0]
-        finally:
-            child.terminate()
-            try:
-                child.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                child.kill()
-                child.wait()
-            child.stdout.close()
-            child.stderr.close()
-
-    def test_serve_answers_the_same_from_either_container(
-        self, index_artifact, columnar_artifact
-    ):
-        from_vmis = self.served_answer(index_artifact, self.SESSION)
-        from_vmic = self.served_answer(columnar_artifact, self.SESSION)
-        assert from_vmis and from_vmic == from_vmis
-
-    def test_recommend_prints_the_same_from_either_container(
-        self, index_artifact, columnar_artifact, capsys
-    ):
-        session = ",".join(map(str, self.SESSION))
-        assert main(["recommend", str(index_artifact), "--session", session]) == 0
-        from_vmis = capsys.readouterr().out
-        assert main(["recommend", str(columnar_artifact), "--session", session]) == 0
-        assert "  1. item" in from_vmis
-        assert capsys.readouterr().out == from_vmis
+    """`serve` and `recommend` refuse anything but a `VMIS` artifact, the
+    retired columnar container included, with one line, not a traceback."""
 
     @pytest.mark.parametrize("verb_args", [["serve"], ["recommend", "--session", "1"]])
     def test_unreadable_artifact_is_one_error_line(self, verb_args, tmp_path, capsys):
         foreign = tmp_path / "notes.vmis"
         foreign.write_bytes(b"these are not the bytes of an index artifact")
+        vmic = tmp_path / "idx.vmic"
+        vmic.write_bytes(b"VMIC" + bytes(16))
         for path, reason in [
             (tmp_path / "missing.vmis", "No such file"),
             (foreign, "bad magic"),
+            (vmic, "bad magic"),
         ]:
             verb, *rest = verb_args
             assert main([verb, str(path), *rest]) == 2

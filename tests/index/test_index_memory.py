@@ -6,11 +6,11 @@ buffers: the six the scorer reads, plus ``item_frequencies`` and
 ``session_timestamps``, without which it could not be written back. A
 ninth buffer would be a copy that no request reads.
 
-Loading either container must stay within the artifact's bytes plus
-2.5 times the kept bytes at its tracemalloc peak. The decoders reach
-about 1.5 (``VMIC``) and 1.9 (``VMIS``) times on the artifact below; one
-extra full copy of the buffers kept alive on the way, or a varint payload
-decoded through whole-payload temporaries, goes past the bound.
+Loading the artifact must stay within its bytes plus 2.5 times the kept
+bytes at its tracemalloc peak. The decoder reaches about 1.9 times on
+the artifact below; one extra full copy of the buffers kept alive on the
+way, or a varint payload decoded through whole-payload temporaries, goes
+past the bound.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import pytest
 from repro.core.colindex import ColumnarSessionIndex
 from repro.core.index import SessionIndex
 from repro.data.synthetic import generate_clickstream
-from repro.index.serialization import load_columnar, save_artifact, save_index
+from repro.index.serialization import load_columnar, save_index
 
 KEPT = (
     "item_ids",
@@ -42,14 +42,13 @@ PEAK_BOUND = 2.5
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
-    """One generated index in both containers. Large enough (10 000
-    sessions, 0.75 MB of kept buffers) that fixed costs, such as one
-    varint piece, do not decide the ratio."""
+    """One generated index. Large enough (10 000 sessions, 0.75 MB of
+    kept buffers) that fixed costs, such as one varint piece, do not
+    decide the ratio."""
     log = generate_clickstream(num_sessions=10_000, num_items=1_000, days=10, seed=777)
     index = SessionIndex.from_clicks(log, max_sessions_per_item=500)
     root = tmp_path_factory.mktemp("memory")
     save_index(index, root / "index.vmis")
-    save_artifact(ColumnarSessionIndex.from_session_index(index), root / "index.vmic")
     return root
 
 
@@ -62,7 +61,7 @@ def test_the_index_holds_the_eight_buffers():
     assert set(ColumnarSessionIndex.__frozen_buffers__) == set(KEPT)
 
 
-@pytest.mark.parametrize("container", ["vmis", "vmic"])
+@pytest.mark.parametrize("container", ["vmis"])
 def test_load_peak_is_bounded(artifacts, container):
     path = artifacts / f"index.{container}"
     load_columnar(path)  # first-use imports and caches are not the load
@@ -85,7 +84,7 @@ def test_load_peak_is_bounded(artifacts, container):
     )
 
 
-@pytest.mark.parametrize("container", ["vmis", "vmic"])
+@pytest.mark.parametrize("container", ["vmis"])
 def test_loaded_buffers_own_their_memory(artifacts, container):
     """No kept buffer is a view of the file's bytes (it would keep the
     whole file alive), and the stored posting runs are a view, not a

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.colindex import VMISKNNColumnar
 from repro.core.types import Click
+from repro.core.vmis import VMISKNN
 from repro.data.split import temporal_split
 from repro.index.builder import IndexBuilder
 from repro.index.lifecycle import (
@@ -136,6 +138,18 @@ class TestFullRun:
         info = cluster.rollout_info()
         assert info["committed_version"] == outcome.manifest.version
         assert info["consistent"]
+        # The rollout keeps every pod on the columnar engine, answering as
+        # the heap oracle does.
+        served = [pod.recommender for pod in cluster.pods.values()]
+        assert [type(model) for model in served] == [VMISKNNColumnar] * 3
+        oracle = VMISKNN(
+            lifecycle.registry.load(outcome.manifest.version),
+            m=100,
+            k=50,
+            exclude_current_items=True,
+        )
+        for sequence in list(holdout.values())[:20]:
+            assert served[0].recommend(sequence) == oracle.recommend(sequence)
 
     def test_rollout_failure_restores_registry_pointer(
         self, tmp_path, split, holdout, monkeypatch

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -68,8 +70,6 @@ class TestRegistration:
         assert loaded.provenance["click_log"] == "day.tsv"
 
     def test_manifest_checksum_matches_artifact(self, registry):
-        import hashlib
-
         manifest = registry.register(make_index())
         data = (registry.root / "v000001" / ARTIFACT_NAME).read_bytes()
         assert hashlib.sha256(data).hexdigest() == manifest.checksum_sha256
@@ -171,6 +171,29 @@ class TestLoading:
         registry.register(make_index(offset=3))
         registry.promote("v000002")
         (registry.root / "v000002" / ARTIFACT_NAME).write_bytes(b"garbage")
+        index, version = registry.load_current()
+        assert version == "v000001"
+        assert registry.last_fallbacks == ["v000002"]
+        assert index.item_to_sessions == good.item_to_sessions
+
+    def test_load_current_skips_a_verified_vmic_file(self, registry):
+        """A version whose file has the magic of the retired columnar
+        container, checksum and all, falls back like a corrupt one."""
+        good = make_index()
+        registry.register(good)
+        registry.register(make_index(offset=3))
+        registry.promote("v000002")
+        artifact = registry.root / "v000002" / ARTIFACT_NAME
+        data = b"VMIC" + artifact.read_bytes()[4:]
+        artifact.write_bytes(data)
+        manifest = dataclasses.replace(
+            registry.manifest("v000002"),
+            checksum_sha256=hashlib.sha256(data).hexdigest(),
+        )
+        atomic_write_bytes(
+            registry.root / "v000002" / MANIFEST_NAME, manifest.to_json().encode()
+        )
+        assert registry.verify("v000002")
         index, version = registry.load_current()
         assert version == "v000001"
         assert registry.last_fallbacks == ["v000002"]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import re
 import struct
 import zlib
 
@@ -22,7 +24,6 @@ from repro.index.serialization import (
     deserialize_index,
     load_columnar,
     load_index,
-    save_artifact,
     save_index,
     serialize_index,
 )
@@ -241,6 +242,44 @@ class TestCorruptionDetection:
             )
 
 
+class TestWhatTheWriterRefuses:
+    @pytest.mark.parametrize("stamp", [1.5, -5, 2**64], ids=["float", "negative", "2**64"])
+    def test_timestamp_outside_u64_is_a_value_error(self, toy_index, stamp):
+        """The container stores timestamps as u64: anything else used to
+        end in ``struct.error``, which no caller expects. The error names
+        the first value that does not fit."""
+        stamps = list(toy_index.session_timestamps)
+        stamps[1], stamps[-1] = stamp, -1
+        index = SessionIndex(
+            item_to_sessions=toy_index.item_to_sessions,
+            session_timestamps=stamps,
+            session_items=toy_index.session_items,
+            item_session_counts=toy_index.item_session_counts,
+            max_sessions_per_item=toy_index.max_sessions_per_item,
+        )
+        with pytest.raises(ValueError, match=f"timestamp {re.escape(repr(stamp))} "):
+            serialize_index(index)
+
+
+# ``save_index`` of ``small_log`` (m = 50): (length, SHA-256).
+VMIS_BYTES = (
+    15296,
+    "61983d3c5aacb750547f22ebf8a197a384d6c052b8773ce60d9000c9033a2395",
+)
+
+
+class TestArtifactBytesDoNotMove:
+    def test_save_index_writes_the_recorded_bytes(self, small_log, tmp_path):
+        """And a pod's columnar index writes back the bytes it was loaded
+        from."""
+        index = SessionIndex.from_clicks(small_log, max_sessions_per_item=50)
+        save_index(index, tmp_path / "index.vmis")
+        data = (tmp_path / "index.vmis").read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == VMIS_BYTES
+        loaded = load_columnar(tmp_path / "index.vmis")
+        assert serialize_index(loaded.to_session_index()) == data
+
+
 # Ids that need 1, 2, 3 and 9 varint bytes.
 wide_ids = st.one_of(
     st.integers(0, 127),
@@ -313,12 +352,14 @@ class TestLoadColumnar:
             ColumnarSessionIndex.from_session_index(load_index(path)),
         )
 
-    def test_either_container_by_magic(self, toy_index, tmp_path, assert_same_columnar):
-        columnar = ColumnarSessionIndex.from_session_index(toy_index)
-        save_index(toy_index, tmp_path / "a.vmis")
-        save_artifact(columnar, tmp_path / "a.vmic")
-        assert_same_columnar(load_columnar(tmp_path / "a.vmis"), columnar)
-        assert_same_columnar(load_columnar(tmp_path / "a.vmic"), columnar)
+    def test_vmic_magic_refused(self, toy_index, tmp_path):
+        """The columnar container earlier versions wrote is not read: even
+        behind a valid CRC its magic is a foreign one."""
+        body = b"VMIC" + serialize_index(toy_index)[4:-4]
+        path = tmp_path / "a.vmic"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        with pytest.raises(ValueError, match=r"not a VMIS index file \(bad magic\)"):
+            load_columnar(path)
 
     def test_foreign_magic_rejected(self, tmp_path):
         path = tmp_path / "notes.txt"
