@@ -43,12 +43,13 @@ def main() -> None:
         f"({kept:.0%} kept after truncation to m)"
     )
 
-    artifact = Path(tempfile.mkdtemp()) / "daily-index.vmis"
-    size = save_index(index, artifact)
-    print(f"index artifact: {artifact} ({size / 1024:.0f} KiB)")
+    with tempfile.TemporaryDirectory() as workdir:
+        artifact = Path(workdir) / "daily-index.vmis"
+        size = save_index(index, artifact)
+        print(f"index artifact: {artifact} ({size / 1024:.0f} KiB)")
 
-    # ---- online component (right half of Figure 1) ----------------------
-    serving_index = load_index(artifact)
+        # ---- online component (right half of Figure 1) ------------------
+        serving_index = load_index(artifact)
     out_of_stock = {1, 2, 3}
     rules = BusinessRules(
         [exclude_unavailable(out_of_stock), exclude_seen_in_session]

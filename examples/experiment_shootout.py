@@ -1,7 +1,8 @@
 """Declarative model shootout: the session-rec style experiment driver.
 
-Builds an experiment config (also saved as JSON so you can re-run it via
-``python -m repro experiment <config.json>``), executes it, and prints the
+Builds an experiment config, saves it as JSON (the file
+``python -m repro experiment <config.json>`` runs) into a temporary
+directory removed on exit, executes it from that file, and prints the
 comparison table across the whole kNN family plus simple baselines.
 
 Run with::
@@ -39,12 +40,12 @@ def main() -> None:
         protocol=ProtocolSpec(test_days=1, cutoff=20, max_predictions=800),
     )
 
-    config_path = Path(tempfile.mkdtemp()) / "shootout.json"
-    config.save(config_path)
-    print(f"config saved to {config_path}")
-    print(f"re-run any time with: python -m repro experiment {config_path}\n")
-
-    report = run_experiment(config)
+    with tempfile.TemporaryDirectory() as workdir:
+        config_path = Path(workdir) / "shootout.json"
+        config.save(config_path)
+        print(f"config saved to {config_path}, and run from there")
+        print("the same file runs with: python -m repro experiment <config.json>\n")
+        report = run_experiment(ExperimentConfig.load(config_path))
     print(report.render())
     best = report.best("mrr")
     print(

@@ -114,18 +114,17 @@ class DailyIndexLifecycle:
         )
         return manifest, report
 
-    def gate_candidate(
+    def _gate(
         self,
-        version: str,
+        candidate: SessionIndex,
         holdout: Sequence[Sequence[ItemId]],
     ) -> GateReport:
-        """Run the canary quality gate for a registered version.
+        """Run the canary quality gate for a decoded candidate.
 
         The baseline is the currently promoted version (loaded with
         corruption fallback); a first-ever candidate is gated on
         structural checks only.
         """
-        candidate = self.registry.load(version)
         current: SessionIndex | None = None
         if self.registry.current_version() is not None:
             current, _ = self.registry.load_current()
@@ -146,7 +145,9 @@ class DailyIndexLifecycle:
         """
         outcome = LifecycleOutcome()
         try:
-            outcome.gate = self.gate_candidate(version, holdout)
+            # Decoded once: the gate reads it and the rollout converts it.
+            candidate = self.registry.load(version)
+            outcome.gate = self._gate(candidate, holdout)
         except (ValueError, RegistryError) as error:
             # A corrupt or missing candidate artifact is a refusal, not a
             # crash: the day's promotion simply does not happen.
@@ -165,7 +166,7 @@ class DailyIndexLifecycle:
             return outcome
 
         # Converted once, here: every pod the factory builds shares it.
-        index = ColumnarSessionIndex.from_session_index(self.registry.load(version))
+        index = ColumnarSessionIndex.from_session_index(candidate)
         policy = self.gate_policy
         controller = RolloutController(cluster, self.rollout_policy)
         outcome.rollout = controller.run(

@@ -151,6 +151,35 @@ class TestFullRun:
         for sequence in list(holdout.values())[:20]:
             assert served[0].recommend(sequence) == oracle.recommend(sequence)
 
+    def test_promote_decodes_the_candidate_once(
+        self, tmp_path, split, holdout, monkeypatch
+    ):
+        """The gate and the rollout share one decoded candidate."""
+        lifecycle = make_lifecycle(tmp_path)
+        first, _ = lifecycle.build_and_register(list(split.train))
+        lifecycle.promote(first.version, holdout)
+        cluster = ServingCluster.with_index(
+            lifecycle.registry.load(first.version),
+            num_pods=2,
+            m=100,
+            k=50,
+            index_version=first.version,
+        )
+        second, _ = lifecycle.build_and_register(list(split.train))
+        loaded = []
+        original = IndexRegistry.load
+
+        def spy(registry, version):
+            loaded.append(version)
+            return original(registry, version)
+
+        monkeypatch.setattr(IndexRegistry, "load", spy)
+        outcome = lifecycle.promote(second.version, holdout, cluster=cluster)
+        assert outcome.succeeded, outcome.refusal_reasons
+        assert loaded.count(second.version) == 1
+        # The baseline the gate compares against is the current version.
+        assert loaded.count(first.version) == 1
+
     def test_rollout_failure_restores_registry_pointer(
         self, tmp_path, split, holdout, monkeypatch
     ):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import http.client
 import json
 import math
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,9 +18,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import repro.serving.http as serving_http
 from repro.core.types import ScoredItem
 from repro.serving.app import ServingCluster
-from repro.serving.http import SerenadeHTTPServer, SerenadeService
+from repro.serving.http import _SCORE_TEXT_LIMIT, SerenadeHTTPServer, SerenadeService
 from repro.serving.resilience import ResiliencePolicy
 from repro.serving.server import RecommendationResponse
 
@@ -186,6 +188,119 @@ class TestDifferential:
         body = service_with(cluster, 0.0, 0.0).recommend_batch({"sessions": [[1]]})
         assert body == reference_batch(cluster.results, 0.0, cluster.cache)
         assert b"0.30000000000000004" in body
+
+
+def answer(ranked) -> RecommendationResponse:
+    return RecommendationResponse(
+        session_key="s",
+        items=tuple(ranked),
+        served_by="pod-0",
+        service_seconds=0.0,
+        degraded=False,
+        served_stage="primary",
+    )
+
+
+class TestWarmTable:
+    """``recommend`` writes a score it has written before from its table of
+    score text; every answer must still be what ``json.dumps`` gives."""
+
+    @staticmethod
+    def serve(service: SerenadeService, cluster: StubCluster, ranked) -> bytes:
+        cluster.response = answer(ranked)
+        body = service.recommend({"session_id": "s", "item_id": 1})
+        assert body == reference_recommend(cluster.response, 0.0)
+        return body
+
+    @pytest.fixture()
+    def served(self):
+        cluster = StubCluster()
+        return SerenadeService(cluster, perf_clock=lambda: 0.0), cluster  # type: ignore[arg-type]
+
+    @given(answers=st.lists(ranked_lists, min_size=1, max_size=6))
+    def test_one_service_many_answers(self, answers):
+        cluster = StubCluster()
+        service = SerenadeService(cluster, perf_clock=lambda: 0.0)  # type: ignore[arg-type]
+        for ranked in answers + answers:
+            self.serve(service, cluster, ranked)
+
+    def test_the_same_answer_twice(self, served):
+        ranked = [ScoredItem(n, score) for n, score in enumerate(AWKWARD_SCORES)]
+        assert self.serve(*served, ranked) == self.serve(*served, ranked)
+
+    @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_zero_then_negative_zero(self, served, first, second):
+        """Equal keys that print differently: neither may answer for the other."""
+        self.serve(*served, [ScoredItem(1, first)] * 2)
+        body = self.serve(*served, [ScoredItem(1, second), ScoredItem(2, first)])
+        assert b'"score": 0.0}' in body and b'"score": -0.0}' in body
+
+    @pytest.mark.parametrize("x", [0.1 + 0.2, 1e22, 5e-324, -1.5])
+    def test_a_float_then_its_numpy_twin(self, served, x):
+        self.serve(*served, [ScoredItem(1, x)])
+        self.serve(*served, [ScoredItem(1, np.float64(x))])
+        self.serve(*served, [ScoredItem(1, np.float64(-x)), ScoredItem(2, -x)])
+
+    def test_non_finite_scores_with_a_warm_table(self, served):
+        ranked = [
+            ScoredItem(1, math.nan),
+            ScoredItem(2, math.inf),
+            ScoredItem(3, -math.inf),
+            ScoredItem(4, float("nan")),
+        ]
+        self.serve(*served, ranked)
+        body = self.serve(*served, ranked + ranked[::-1])
+        assert b"NaN" in body and b"-Infinity" in body and b"nan" not in body
+
+    def test_the_table_stays_within_its_limit(self, served, monkeypatch):
+        service, cluster = served
+        texts = service._score_texts
+        score = 1.0
+        for _ in range(3 * _SCORE_TEXT_LIMIT // 21 + 1):
+            ranked = [ScoredItem(n, score + n) for n in range(21)]
+            score += 21
+            self.serve(service, cluster, ranked)
+            assert len(texts) <= _SCORE_TEXT_LIMIT
+        # Cleared during the last answer and refilled with its tail.
+        kept = len(texts)
+        assert 0 < kept < 21
+        assert set(texts) == {item.score for item in ranked[21 - kept :]}
+        # The same answer again formats only what the clear dropped.
+        calls = []
+        real = serving_http._float_repr
+        monkeypatch.setattr(
+            serving_http, "_float_repr", lambda value: calls.append(value) or real(value)
+        )
+        self.serve(service, cluster, ranked)
+        assert calls == [item.score for item in ranked[: 21 - kept]] + [0.0]
+
+    def test_two_threads_get_identical_bytes(self):
+        """A shared table, two writers, more scores than the limit."""
+        answers = [
+            [ScoredItem(n, (n * 7919 % 1000) / 977 + step) for n in range(21)]
+            for step in range(400)
+        ]
+        cluster = StubCluster()
+        cluster.handle = lambda request: answer(answers[request.item_id])
+        service = SerenadeService(cluster, perf_clock=lambda: 0.0)  # type: ignore[arg-type]
+        start = threading.Barrier(2)
+        bodies: dict[int, list[bytes]] = {}
+
+        def encode(worker: int) -> None:
+            start.wait()
+            bodies[worker] = [
+                service.recommend({"session_id": "s", "item_id": number})
+                for _ in range(3)
+                for number in range(len(answers))
+            ]
+
+        threads = [threading.Thread(target=encode, args=(worker,)) for worker in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        expected = [reference_recommend(answer(ranked), 0.0) for ranked in answers] * 3
+        assert bodies[0] == bodies[1] == expected
 
 
 class TestOverARealSocket:
