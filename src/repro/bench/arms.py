@@ -1,25 +1,22 @@
-"""The gate arms: fig3a / fig3b / capacity as plain callables.
+"""The gate arms: fig3a / fig3a_vec / streaming as plain callables.
 
-Each arm wraps one of the paper-reproduction benchmark regimes (the same
-workload shapes the pytest suite under ``benchmarks/`` measures) in a
-function the structured runner can execute outside pytest:
+Each arm wraps one micro-benchmark regime in a function the structured
+runner can execute outside pytest:
 
 * **fig3a** — the Figure 3(a) microbenchmark regime: heavy posting
   lists, VMIS-kNN ``find_neighbors`` latency, plus the VS-kNN speedup
   ratio the paper headlines;
-* **fig3b** — the Figure 3(b) serving regime: serenade-hist request
-  replay, per-request latency and SLA attainment, batched-engine
-  throughput with the LRU result cache;
-* **capacity** — the §4.2 memory regime: index build peak memory and
-  the capacity model's extrapolation to production scale;
+* **fig3a_vec** — the same workload on the columnar scorer every pod
+  serves with, checked bit for bit against the heap path before timing;
 * **streaming** — the §7-future-work ingestion regime: clicks published
   through the partitioned event log in chunks, each chunk's
   commit-to-visible latency (publish ack → index catch-up) measured
   end to end, plus the event-time staleness the sealing policy leaves
-  behind;
-* **ring** — the tail-at-scale regime: a replicated shard ring serving
-  a flash-sale trace with one straggler pod, replayed twice (hedging
-  on / off) on a virtual clock to price deadline-derived hedged reads.
+  behind.
+
+What a request through the front door costs is the serve ledger's
+question (``benchmarks/serve/run.py``), not an arm's; ``docs/benchmarks.md``
+says which command answers which question.
 
 Arms follow the repo's timing discipline (CONTRIBUTING): interleaved
 rounds with per-call best-of merging, warm-up before measurement, and
@@ -32,43 +29,29 @@ not code paths.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from repro.bench.probes import LatencyProbe, MemoryProbe
 from repro.bench.schema import HIGHER, LOWER, Metric
-from repro.cluster.chaos import ChaosReport, ChaosSchedule, PodSlowdown
-from repro.cluster.loadgen import TimedRequest
-from repro.core.batch import BatchPredictionEngine
 from repro.core.colindex import ColumnarSessionIndex, VMISKNNColumnar
 from repro.core.index import SessionIndex
 from repro.core.vmis import VMISKNN
 from repro.core.vsknn import VSKNN
 from repro.data.split import TrainTestSplit, temporal_split
 from repro.data.synthetic import generate_clickstream
-from repro.index.capacity import NATIVE, extrapolate, measure_index
 from repro.index.maintenance import IncrementalIndexer
-from repro.serving.ring import ReplicationPolicy
-from repro.serving.server import RecommendationRequest
-from repro.serving.variants import ServingVariant, session_view
 from repro.streaming import (
     ClickProducer,
     PartitionedLog,
     StreamingIndexer,
     StreamingPolicy,
 )
-from repro.testing.clock import VirtualClock
-from repro.testing.generators import WorkloadGenerator
-from repro.testing.simulation import SimulatedCluster
 
 Clock = Callable[[], float]
 
 #: The serving SLA every arm reports attainment against (PR 2's budget).
 SLA_BUDGET_MS = 50.0
-
-#: The paper's production scale (§4.2), targets of the capacity arm.
-PAPER_SESSIONS = 111_000_000
-PAPER_ITEMS = 6_500_000
 
 
 @dataclass(frozen=True)
@@ -80,29 +63,10 @@ class BenchProfile:
     fig3a_sessions: int
     fig3a_items: int
     fig3a_queries: int
-    fig3b_sessions: int
-    fig3b_items: int
-    fig3b_steps: int
-    fig3b_epochs: int
-    capacity_sessions: int
-    capacity_items: int
-    capacity_queries: int
     streaming_sessions: int
     streaming_items: int
     #: clicks published per chunk; one commit-to-visible sample per chunk.
     streaming_chunk: int
-    # -- ring arm (appended with defaults: older profiles stay valid) --
-    ring_sessions: int = 4_000
-    ring_items: int = 800
-    ring_pods: int = 10
-    #: simulated seconds of flash-sale traffic and its off-spike rate.
-    ring_duration: float = 60.0
-    ring_rate: float = 30.0
-    #: every pod stalls this much (baseline jitter floor)...
-    ring_base_stall_ms: float = 5.0
-    #: ...except one straggler pod, which stalls this much (the GC-pause
-    #: regime hedging exists for: 1 of ring_pods ≈ 10% of requests).
-    ring_straggler_ms: float = 200.0
 
 
 PROFILES: dict[str, BenchProfile] = {
@@ -114,20 +78,9 @@ PROFILES: dict[str, BenchProfile] = {
         fig3a_sessions=8_000,
         fig3a_items=800,
         fig3a_queries=120,
-        fig3b_sessions=6_000,
-        fig3b_items=1_200,
-        fig3b_steps=2_000,
-        fig3b_epochs=3,
-        capacity_sessions=20_000,
-        capacity_items=9_000,
-        capacity_queries=80,
         streaming_sessions=4_000,
         streaming_items=800,
         streaming_chunk=512,
-        ring_sessions=4_000,
-        ring_items=800,
-        ring_duration=60.0,
-        ring_rate=30.0,
     ),
     # Mirrors the pytest benchmark arms' workload sizes.
     "full": BenchProfile(
@@ -136,20 +89,9 @@ PROFILES: dict[str, BenchProfile] = {
         fig3a_sessions=50_000,
         fig3a_items=1_200,
         fig3a_queries=150,
-        fig3b_sessions=25_000,
-        fig3b_items=3_000,
-        fig3b_steps=4_000,
-        fig3b_epochs=3,
-        capacity_sessions=60_000,
-        capacity_items=35_000,
-        capacity_queries=100,
         streaming_sessions=20_000,
         streaming_items=2_500,
         streaming_chunk=1_024,
-        ring_sessions=12_000,
-        ring_items=1_500,
-        ring_duration=120.0,
-        ring_rate=50.0,
     ),
     # Sub-second sizes for the test suite; never use for real baselines.
     "smoke": BenchProfile(
@@ -158,20 +100,9 @@ PROFILES: dict[str, BenchProfile] = {
         fig3a_sessions=1_200,
         fig3a_items=300,
         fig3a_queries=40,
-        fig3b_sessions=1_000,
-        fig3b_items=400,
-        fig3b_steps=300,
-        fig3b_epochs=2,
-        capacity_sessions=4_000,
-        capacity_items=2_000,
-        capacity_queries=30,
         streaming_sessions=600,
         streaming_items=200,
         streaming_chunk=256,
-        ring_sessions=800,
-        ring_items=200,
-        ring_duration=20.0,
-        ring_rate=12.0,
     ),
 }
 
@@ -388,132 +319,6 @@ def run_fig3a_vec(
     )
 
 
-def run_fig3b(
-    profile: BenchProfile, seed: int, clock: Clock = time.perf_counter
-) -> ArmResult:
-    """Figure 3(b) regime: serenade-hist replay, cache-backed throughput."""
-    log = generate_clickstream(
-        num_sessions=profile.fig3b_sessions,
-        num_items=profile.fig3b_items,
-        num_categories=120,
-        days=14,
-        seed=seed,
-    )
-    split = temporal_split(log, test_days=1)
-    with MemoryProbe() as memory:
-        index = SessionIndex.from_clicks(split.train, max_sessions_per_item=500)
-        model = VMISKNN(index, m=500, k=100, exclude_current_items=True)
-    views: list[list[int]] = []
-    for sequence in split.test_sequences().values():
-        for cut in range(1, len(sequence)):
-            views.append(session_view(sequence[:cut], ServingVariant.HIST))
-    views = views[: profile.fig3b_steps] * profile.fig3b_epochs
-
-    # Per-request latency, serially: this is what the SLA sees.
-    for view in views[: min(50, len(views))]:
-        model.recommend(view, how_many=21)
-    serial: LatencyProbe | None = None
-    for _ in range(profile.rounds):
-        probe = LatencyProbe(clock)
-        for view in views:
-            probe.sample(lambda v=view: model.recommend(v, how_many=21))
-        if serial is None:
-            serial = probe
-        else:
-            serial.merge_best(probe)
-    assert serial is not None
-
-    # Sustained throughput through the cached engine, on this thread.
-    batch_size = 256
-    with BatchPredictionEngine(model, cache_size=8192) as engine:
-        started = clock()
-        for start in range(0, len(views), batch_size):
-            engine.recommend_batch(views[start : start + batch_size], how_many=21)
-        batched_seconds = clock() - started
-        cache = engine.cache_info()
-    batched_rps = len(views) / batched_seconds
-    serial_rps = len(views) / serial.total_seconds()
-
-    metrics = dict(_latency_metrics(serial))
-    metrics["throughput_rps"] = Metric(batched_rps, "rps", HIGHER)
-    metrics["peak_memory_bytes"] = Metric(float(memory.peak_bytes), "bytes", LOWER)
-    metrics["cache_hit_rate"] = Metric(cache["hit_rate"], "fraction", HIGHER)
-    metrics["batched_speedup"] = Metric(batched_rps / serial_rps, "x", HIGHER)
-    return ArmResult(
-        metrics=metrics,
-        workload={
-            "regime": "fig3b-serenade-hist-replay",
-            "sessions": profile.fig3b_sessions,
-            "items": profile.fig3b_items,
-            "requests": len(views),
-            "steps": min(profile.fig3b_steps, len(views)),
-            "epochs": profile.fig3b_epochs,
-            "rounds": profile.rounds,
-            "batch_size": batch_size,
-            "m": 500,
-            "k": 100,
-        },
-        notes=(
-            f"{len(views)} serenade-hist requests, serial latency best of "
-            f"{profile.rounds} rounds; throughput via BatchPredictionEngine "
-            f"(inline, cache 8192, hit rate {cache['hit_rate']:.1%})",
-        ),
-    )
-
-
-def run_capacity(
-    profile: BenchProfile, seed: int, clock: Clock = time.perf_counter
-) -> ArmResult:
-    """§4.2 regime: build-time peak memory + production extrapolation."""
-    log = generate_clickstream(
-        num_sessions=profile.capacity_sessions,
-        num_items=profile.capacity_items,
-        num_categories=1_200,
-        mean_session_length=6.6,
-        length_tail=0.16,
-        days=30,
-        seed=seed,
-    )
-    split = temporal_split(log, test_days=1)
-    with MemoryProbe() as memory:
-        index = SessionIndex.from_clicks(split.train, max_sessions_per_item=500)
-    sample_estimate = measure_index(index, NATIVE)
-    production = extrapolate(
-        index,
-        target_sessions=PAPER_SESSIONS,
-        target_items=PAPER_ITEMS,
-        schedule=NATIVE,
-    )
-    model = VMISKNN(index, m=500, k=100)
-    prefixes = _prediction_prefixes(split, profile.capacity_queries)
-    probes = _interleaved_best({"vmis": model}, prefixes, profile.rounds, clock)
-    vmis = probes["vmis"]
-    metrics = dict(_latency_metrics(vmis))
-    metrics["throughput_rps"] = Metric(vmis.throughput_rps(), "rps", HIGHER)
-    metrics["peak_memory_bytes"] = Metric(float(memory.peak_bytes), "bytes", LOWER)
-    metrics["extrapolated_gib"] = Metric(
-        production.total_gigabytes, "GiB", LOWER
-    )
-    return ArmResult(
-        metrics=metrics,
-        workload={
-            "regime": "capacity-planning",
-            "sessions": profile.capacity_sessions,
-            "items": profile.capacity_items,
-            "queries": len(prefixes),
-            "rounds": profile.rounds,
-            "m": 500,
-            "target_sessions": PAPER_SESSIONS,
-            "target_items": PAPER_ITEMS,
-        },
-        notes=(
-            f"sample index {sample_estimate.total_gigabytes:.3f} GiB "
-            f"(native schedule); extrapolated to production "
-            f"{production.total_gigabytes:.1f} GiB (paper: ~13 GB)",
-        ),
-    )
-
-
 def run_streaming(
     profile: BenchProfile, seed: int, clock: Clock = time.perf_counter
 ) -> ArmResult:
@@ -611,160 +416,6 @@ def run_streaming(
     )
 
 
-def _flash_sale_trace(
-    profile: BenchProfile, seed: int, split: TrainTestSplit
-) -> list[TimedRequest]:
-    """Deterministic flash-sale request trace over held-out sessions.
-
-    Arrival instants come from the workload generator's flash-sale
-    process; a fixed pool of concurrent "clients" (client ``i`` takes
-    every ``pool_size``-th arrival) walks held-out sessions back to
-    back, so the whole trace is a pure function of ``(profile, seed)``.
-    """
-    generator = WorkloadGenerator(seed=seed)
-    arrivals = generator.flash_sale_arrival_times(
-        profile.ring_duration, profile.ring_rate
-    )
-    sequences = [
-        items for items in split.test_sequences().values() if len(items) >= 2
-    ]
-    if not sequences:
-        raise ValueError("held-out day has no usable sessions")
-    pool_size = 2 * profile.ring_pods
-    walkers: dict[int, tuple[str, list[int], int]] = {}
-    session_counter = 0
-    next_sequence = 0
-    trace: list[TimedRequest] = []
-    for index, arrival in enumerate(arrivals):
-        client = index % pool_size
-        if client not in walkers:
-            sequence = sequences[next_sequence % len(sequences)]
-            next_sequence += 1
-            walkers[client] = (f"s{session_counter}", sequence, 0)
-            session_counter += 1
-        session_key, sequence, position = walkers[client]
-        trace.append(
-            TimedRequest(
-                arrival,
-                RecommendationRequest(
-                    session_key=session_key, item_id=sequence[position]
-                ),
-            )
-        )
-        position += 1
-        if position >= len(sequence):
-            del walkers[client]
-        else:
-            walkers[client] = (session_key, sequence, position)
-    return trace
-
-
-def run_ring(
-    profile: BenchProfile, seed: int, clock: Clock = time.perf_counter
-) -> ArmResult:
-    """Replicated-ring regime: hedged vs unhedged tail under a straggler.
-
-    One identical flash-sale trace is replayed twice through a replicated
-    ring (R=2) where every pod carries a small base stall and exactly one
-    pod is a hard straggler — once with deadline-derived hedged reads,
-    once without. Latencies are virtual-clock arithmetic (injected stall
-    plus the hedge race), so the record is bit-stable across machines;
-    the wall ``clock`` is deliberately unused.
-    """
-    del clock  # virtual-clock arm: wall time would break determinism
-    log = generate_clickstream(
-        num_sessions=profile.ring_sessions,
-        num_items=profile.ring_items,
-        num_categories=60,
-        days=14,
-        seed=seed,
-    )
-    split = temporal_split(log, test_days=1)
-    with MemoryProbe() as memory:
-        index = SessionIndex.from_clicks(split.train, max_sessions_per_item=500)
-    trace = _flash_sale_trace(profile, seed, split)
-    straggler = "pod-0"
-    schedule = ChaosSchedule(
-        slowdowns=[
-            PodSlowdown(
-                at_time=0.0,
-                pod_id=f"pod-{pod}",
-                delay_seconds=profile.ring_base_stall_ms / 1e3,
-            )
-            for pod in range(1, profile.ring_pods)
-        ]
-        + [
-            PodSlowdown(
-                at_time=0.0,
-                pod_id=straggler,
-                delay_seconds=profile.ring_straggler_ms / 1e3,
-            )
-        ],
-    )
-
-    def replay(hedge_enabled: bool) -> ChaosReport:
-        policy = ReplicationPolicy(
-            replication_factor=2,
-            hedge_enabled=hedge_enabled,
-            budget_ms=SLA_BUDGET_MS,
-        )
-        simulated = SimulatedCluster.with_index(
-            index,
-            clock=VirtualClock(),
-            num_pods=profile.ring_pods,
-            replication=policy,
-        )
-        return simulated.run(trace, schedule)
-
-    hedged = replay(True)
-    unhedged = replay(False)
-    recorder = hedged.latency
-    p99_ms = recorder.percentile(99) * 1e3
-    p99_unhedged_ms = unhedged.latency.percentile(99) * 1e3
-    metrics = {
-        "latency_p50_ms": Metric(recorder.percentile(50) * 1e3, "ms", LOWER),
-        "latency_p90_ms": Metric(recorder.percentile(90) * 1e3, "ms", LOWER),
-        "latency_p99_ms": Metric(p99_ms, "ms", LOWER),
-        "sla_attainment": Metric(
-            recorder.fraction_within(SLA_BUDGET_MS / 1e3), "fraction", HIGHER
-        ),
-        "throughput_rps": Metric(
-            len(recorder.samples) / sum(recorder.samples), "rps", HIGHER
-        ),
-        "peak_memory_bytes": Metric(float(memory.peak_bytes), "bytes", LOWER),
-        "latency_p99_unhedged_ms": Metric(p99_unhedged_ms, "ms", LOWER),
-        "hedge_improvement": Metric(p99_unhedged_ms / p99_ms, "x", HIGHER),
-    }
-    ring = hedged.ring
-    return ArmResult(
-        metrics=metrics,
-        workload={
-            "regime": "ring-flash-sale-straggler",
-            "sessions": profile.ring_sessions,
-            "items": profile.ring_items,
-            "pods": profile.ring_pods,
-            "requests": len(trace),
-            "duration_seconds": profile.ring_duration,
-            "base_rate_rps": profile.ring_rate,
-            "base_stall_ms": profile.ring_base_stall_ms,
-            "straggler": straggler,
-            "straggler_ms": profile.ring_straggler_ms,
-            "replication_factor": 2,
-            "hedge_fraction": ring.get("hedge_fraction"),
-            "hedges_fired": ring.get("hedges_fired"),
-            "hedge_wins": ring.get("hedge_wins"),
-        },
-        notes=(
-            f"{len(trace)} flash-sale requests over {profile.ring_pods} pods "
-            f"(1 straggler at {profile.ring_straggler_ms:.0f} ms), R=2",
-            f"hedged p99 {p99_ms:.1f} ms vs unhedged {p99_unhedged_ms:.1f} ms "
-            f"({p99_unhedged_ms / p99_ms:.1f}x); "
-            f"{ring.get('hedges_fired')} hedges fired, "
-            f"{ring.get('hedge_wins')} won",
-        ),
-    )
-
-
 @dataclass(frozen=True)
 class ArmSpec:
     """One registered arm: name, one-line role, and its runner."""
@@ -787,32 +438,11 @@ ARMS: dict[str, ArmSpec] = {
         "interpreted heap path, bit-equal by construction",
         run_fig3a_vec,
     ),
-    "fig3b": ArmSpec(
-        "fig3b",
-        "Figure 3(b) serving regime: serenade-hist replay latency/SLA "
-        "and cached batched throughput",
-        run_fig3b,
-    ),
-    "capacity": ArmSpec(
-        "capacity",
-        "§4.2 capacity planning: index build peak memory and the "
-        "production-scale extrapolation",
-        run_capacity,
-    ),
     "streaming": ArmSpec(
         "streaming",
         "streaming ingestion: per-chunk commit-to-visible latency "
         "through the partitioned log and event-time staleness",
         run_streaming,
     ),
-    "ring": ArmSpec(
-        "ring",
-        "replicated shard ring: flash-sale trace with one straggler pod, "
-        "hedged vs unhedged tail latency on the virtual clock",
-        run_ring,
-    ),
 }
 
-
-def profile_to_dict(profile: BenchProfile) -> dict[str, object]:
-    return asdict(profile)

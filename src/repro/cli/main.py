@@ -96,13 +96,6 @@ def _recommend_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--m", type=int, default=500)
     parser.add_argument("--k", type=int, default=100)
     parser.add_argument("--count", type=int, default=21)
-    parser.add_argument(
-        "--engine",
-        choices=("columnar", "heap"),
-        default="columnar",
-        help="scorer: vectorized columnar (default) or the per-item-heap "
-        "differential oracle",
-    )
 
 
 def _evaluate_arguments(parser: argparse.ArgumentParser) -> None:
@@ -515,27 +508,15 @@ def _refuse(message: str) -> int:
     return 2
 
 
-def _open_artifact(path: str, engine: str):
-    """The index ``serve`` and ``recommend`` score from.
-
-    The columnar engine decodes the artifact straight into the buffers it
-    serves from; the heap oracle gets the row-oriented index.
-    """
-    from repro.index.serialization import load_columnar, load_index
-
-    return load_columnar(path) if engine == "columnar" else load_index(path)
-
-
 def cmd_recommend(args) -> int:
     from repro.core.colindex import VMISKNNColumnar
-    from repro.core.vmis import VMISKNN
+    from repro.index.serialization import load_columnar
 
     try:
-        index = _open_artifact(args.index, args.engine)
+        index = load_columnar(args.index)
     except (OSError, ValueError) as error:
         return _refuse(f"cannot open index artifact {args.index}: {error}")
-    model_class = VMISKNNColumnar if args.engine == "columnar" else VMISKNN
-    model = model_class(index, m=args.m, k=args.k)
+    model = VMISKNNColumnar(index, m=args.m, k=args.k)
     for rank, scored in enumerate(
         model.recommend(args.session, how_many=args.count), start=1
     ):
@@ -995,13 +976,17 @@ def cmd_stream(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    from repro.index.serialization import load_columnar, load_index
     from repro.serving.app import ServingCluster
     from repro.serving.http import SerenadeHTTPServer
     from repro.serving.resilience import ResiliencePolicy
     from repro.serving.ring import ReplicationPolicy
 
+    # The columnar engine decodes the artifact straight into the buffers
+    # it serves from; the heap oracle gets the row-oriented index.
+    load = load_columnar if args.engine == "columnar" else load_index
     try:
-        index = _open_artifact(args.index, args.engine)
+        index = load(args.index)
     except (OSError, ValueError) as error:
         return _refuse(f"cannot open index artifact {args.index}: {error}")
     replication = ReplicationPolicy(

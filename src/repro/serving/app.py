@@ -467,10 +467,10 @@ class ServingCluster:
             close()
 
     def close(self) -> None:
-        """Release worker pools and result caches (idempotent).
+        """Drop every pod's cached results and the batch path's (idempotent).
 
-        The cluster stays usable: pools are rebuilt on demand. Session
-        stores are left open; they belong to the pods' lifecycle.
+        The cluster stays usable: the caches refill as requests come in.
+        Session stores are left open; they belong to the pods' lifecycle.
         """
         for server in self.pods.values():
             self._close_recommender(server.recommender)

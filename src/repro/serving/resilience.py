@@ -353,39 +353,6 @@ class FallbackChain:
         self.reserve_seconds = reserve_seconds
         self._clock = clock
 
-    @classmethod
-    def from_index(
-        cls,
-        primary: SessionRecommender,
-        index: SessionIndex,
-        policy: ResiliencePolicy | None = None,
-        clock: Clock = time.monotonic,
-    ) -> "FallbackChain":
-        """The canonical chain: primary → index popularity → static top list.
-
-        The static terminal is the head of the popularity ranking — the
-        cheapest defensible answer when everything else failed or the
-        budget is gone.
-        """
-        policy = policy or ResiliencePolicy()
-        popularity = popularity_from_index(index)
-        terminal = StaticRecommender(popularity.recommend([], how_many=50))
-        return cls(
-            stages=[
-                FallbackStage(
-                    "primary", primary, CircuitBreaker.from_policy(policy, clock)
-                ),
-                FallbackStage(
-                    "popularity",
-                    popularity,
-                    CircuitBreaker.from_policy(policy, clock),
-                ),
-            ],
-            terminal=terminal,
-            reserve_seconds=policy.fallback_reserve_ms / 1000.0,
-            clock=clock,
-        )
-
     def run(
         self,
         session_items: Sequence[ItemId],

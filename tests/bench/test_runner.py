@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.bench.arms import ARMS, PROFILES
 from repro.bench.comparator import compare_dirs
 from repro.bench.runner import (
+    DEFAULT_SEED,
     arm_names,
     baseline_status,
     resolve_arms,
@@ -18,6 +21,7 @@ from repro.bench.runner import (
 from repro.bench.schema import (
     CORE_METRICS,
     SCHEMA_VERSION,
+    iter_record_paths,
     load_record,
     record_path,
     validate_record,
@@ -27,14 +31,21 @@ from repro.bench.schema import (
 class TestResolution:
     def test_arm_names_are_the_registry(self):
         assert arm_names() == sorted(ARMS)
-        assert set(arm_names()) == {
-            "capacity",
-            "fig3a",
-            "fig3a_vec",
-            "fig3b",
-            "ring",
-            "streaming",
-        }
+        assert set(arm_names()) == {"fig3a", "fig3a_vec", "streaming"}
+
+    def test_committed_baselines_are_one_per_arm(self):
+        """The repo root holds exactly one ``BENCH_<arm>.json`` per
+        registered arm, each recorded by that arm on the gate's regime:
+        an orphan baseline or an arm without one fails here, not first
+        in the CI gate."""
+        root = Path(__file__).resolve().parents[2]
+        baselines = dict(iter_record_paths(root))
+        assert sorted(baselines) == arm_names()
+        for arm, path in baselines.items():
+            record = load_record(path)
+            validate_record(record)
+            assert record.arm == arm
+            assert (record.profile, record.seed) == ("quick", DEFAULT_SEED)
 
     def test_resolve_all(self):
         assert [s.name for s in resolve_arms(None)] == arm_names()

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.deadline import Deadline
 from repro.core.types import ScoredItem
+from repro.serving.app import ServingCluster
 from repro.serving.resilience import (
     AdmissionController,
     BreakerState,
@@ -65,6 +66,19 @@ class AlwaysFailing:
 
     def recommend_batch(self, sessions, how_many=21):
         raise RuntimeError("dead model")
+
+
+def pod_recommender(index, primary, policy=None):
+    """What a guarded pod serves through (``ServingCluster.with_index``
+    with a resilience policy: primary → index popularity → static top
+    list, on the real clocks), its primary swapped for ``primary``."""
+    cluster = ServingCluster.with_index(
+        index, num_pods=1, resilience=policy or ResiliencePolicy()
+    )
+    recommender = cluster.pods["pod-0"].recommender
+    assert isinstance(recommender, ResilientRecommender)
+    recommender.chain.stages[0].recommender = primary
+    return recommender
 
 
 def make_chain(primary, clock=None, reserve_ms=8.0, policy=None):
@@ -385,8 +399,8 @@ class TestRealClock:
         # but for the probe interval, 5 s by default.
         policy = ResiliencePolicy(breaker_probe_seconds=0.3)
         primary = SleepyPrimary(stall_seconds=policy.budget_ms / 1000.0 + 0.010)
-        chain = FallbackChain.from_index(primary, toy_index, policy)
-        recommender = ResilientRecommender(chain, policy)
+        recommender = pod_recommender(toy_index, primary, policy)
+        chain = recommender.chain
 
         # The stalled calls cannot be abandoned: each overruns, is counted
         # as a deadline timeout, and gets the terminal's answer.
@@ -406,7 +420,7 @@ class TestRealClock:
             assert outcome.items
             assert time.monotonic() - started < policy.budget_ms / 1000.0
             assert outcome.degraded and not outcome.deadline_exceeded
-            assert outcome.stage == "popularity"
+            assert outcome.stage == "fallback"
         assert primary.calls == policy.breaker_min_calls
         assert recommender.info()["breaker_short_circuits"] == 20
 
@@ -446,11 +460,13 @@ class TestResilientRecommender:
         recommender.close()
 
     def test_from_index_chain(self, toy_index):
-        chain = FallbackChain.from_index(AlwaysFailing(), toy_index)
-        recommender = ResilientRecommender(chain)
+        """The chain ``ServingCluster.with_index`` derives from the index:
+        a failing primary falls back to the index's popularity ranking."""
+        recommender = pod_recommender(toy_index, AlwaysFailing())
         outcome = recommender.run([1], 3, recommender.policy.budget())
         assert outcome.items  # popularity fallback answered
-        assert outcome.stage == "popularity"
+        assert outcome.items == popularity_from_index(toy_index).recommend([1], 3)
+        assert outcome.stage == "fallback" and outcome.degraded
         recommender.close()
 
 
