@@ -60,10 +60,7 @@ DEFAULT_ENVELOPES: dict[str, Envelope] = {
     "throughput_rps": Envelope(rel=0.50, abs_floor=25.0),
     "sla_attainment": Envelope(rel=0.0, abs_floor=0.02),
     "peak_memory_bytes": Envelope(rel=0.50, abs_floor=2 * 1024 * 1024),
-    "extrapolated_gib": Envelope(rel=0.15, abs_floor=0.5),
-    "cache_hit_rate": Envelope(rel=0.0, abs_floor=0.05),
     "vsknn_speedup": Envelope(rel=0.60, abs_floor=0.25),
-    "batched_speedup": Envelope(rel=0.60, abs_floor=0.25),
 }
 
 #: Applied to metrics with no named envelope.

@@ -28,6 +28,7 @@ HTTP serving component:
 from __future__ import annotations
 
 import argparse
+import os
 import signal
 import sys
 import time
@@ -1131,11 +1132,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # A command line that names its verb needs that verb's sub-parser only;
-    # anything else (``--help``, a typo) gets the whole parser's answer.
-    parser = _parser_for(argv[:1]) if argv and argv[0] in _VERBS else build_parser()
-    args = parser.parse_args(argv)
-    return _VERBS[args.command][2](args)
+    try:
+        # A command line that names its verb needs that verb's sub-parser
+        # only; anything else (``--help``, a typo) gets the whole parser's
+        # answer.
+        parser = (
+            _parser_for(argv[:1]) if argv and argv[0] in _VERBS else build_parser()
+        )
+        args = parser.parse_args(argv)
+        code = _VERBS[args.command][2](args)
+        sys.stdout.flush()  # buffered output meets a closed pipe here
+        return code
+    except BrokenPipeError:
+        # The reader of stdout went away (``repro bench list | head -1``):
+        # stop without a traceback, and point stdout at the null device so
+        # the interpreter's own flush at exit does not fail a second time.
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return 1
 
 
 if __name__ == "__main__":

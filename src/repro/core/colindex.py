@@ -32,13 +32,17 @@ heap-per-candidate loop with bulk array operations:
   from a table filled once per distinct position; and one ordered
   ``np.bincount`` accumulates ``(λ · sim) · idf`` per item. No Python
   loop runs over neighbours.
-* **batch scoring** — ``recommend_batch`` searches neighbours per
-  session and then runs the item-scoring step above *once* for many
-  sessions: their neighbours are concatenated session-major, the local
-  window is keyed by ``segment * num_items + row`` so no two sessions
-  share a slot, and the same gather, segmented max, weight table and
-  ordered ``np.bincount`` serve the whole piece. Only the final ranking
-  is per session, on slices.
+* **batch scoring** — ``recommend_batch`` runs both steps above once for
+  many sessions. Search: one Python pass collects every session's runs,
+  one bisection of all runs at once prunes them to each session's floor,
+  and per piece of sessions one packed sort over ``segment *
+  num_sessions + id`` keys, one ordered ``np.bincount`` over its inverse
+  and a slice of each session's last ``m`` keys give every retained
+  sample; only the top-k is per session. Scoring: the neighbours are
+  concatenated session-major, the local window is keyed by ``segment *
+  num_items + row`` so no two sessions share a slot, and the same
+  gather, segmented max, weight table and ordered ``np.bincount`` serve
+  the whole piece. Only the final ranking is per session, on slices.
 
 **Equality contract.** The scorer is *bit-identical* to the heap path —
 same floats, same order, not merely the same ranking. Two build-time
@@ -78,6 +82,9 @@ lookup) carry no rounding at all. The batch form changes none of this:
 a window slot belongs to exactly one session, the gather keeps
 session-major neighbour-rank order, so every accumulator receives the
 additions of its own session only, in the order ``recommend`` makes them.
+The same holds for the batch search: a similarity slot is one session's
+id, and its additions arrive in that session's distinct-item
+newest-first order.
 
 **Where the buffers come from.** Three doors, no second build:
 :meth:`ColumnarSessionIndex.from_clicks` wraps the arrays of
@@ -98,7 +105,7 @@ The d-ary heap path stays as the differential oracle; see
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -173,18 +180,22 @@ def _as_float_array(values: Any) -> np.ndarray:
     return _as_array(values, _FLOAT)
 
 
-# ``recommend_batch`` scores a call in pieces: a piece is closed once the
-# neighbours collected for it own this many item rows, which is what every
-# temporary of the fused step is sized by (about ten int64/float64 arrays
-# of that length are live at once). Measured on the serve ledger's
-# ``deep_batch`` (64 sessions, about 31 000 rows per call): at 8 192 rows,
-# about 17 sessions, ``server_rss_mb`` reads +0.4 % of the per-session
-# path's at 1.30x its throughput; 16 384 rows and the whole call in one
-# piece read +1.7 % and +2.8 % (+5.6 % when the change was sized, past
-# that metric's 5 % bound) at a throughput the ledger cannot tell apart.
-# The scorer alone on a 64-session call, as a share of the per-session
-# time: 0.74-0.82 at 2 048 rows, 0.71-0.78 at 4 096, 0.72-0.75 at 8 192,
-# 0.71-0.72 at 16 384, 0.68-0.70 in one piece (EXPERIMENTS.md, PR 22).
+# ``recommend_batch`` works through a call in pieces, closed at session
+# boundaries: a search piece once its sessions' pruned candidates reach
+# this many ids, a scoring piece once the neighbours collected for it own
+# this many item rows. That length sizes every temporary of both steps
+# (about ten int64/float64 arrays of it are live at once). Scoring,
+# measured on the serve ledger's ``deep_batch`` (64 sessions, about
+# 31 000 rows per call): at 8 192 rows, about 17 sessions, ``server_rss_mb``
+# reads +0.4 % of the per-session path's at 1.30x its throughput; 16 384
+# rows and the whole call in one piece read +1.7 % and +2.8 % (+5.6 %
+# when the change was sized, past that metric's 5 % bound) at a
+# throughput the ledger cannot tell apart (EXPERIMENTS.md F3b⁗′).
+# Search, on the same calls (about 58 000 pruned candidates per call, so
+# about 9 sessions a piece): the whole scorer's time as a share of the
+# per-session search's read 0.74-0.77 at 8 192 candidates, 0.74-0.83 at
+# 16 384 and 0.83-0.84 in one piece, at a tracemalloc peak of 0.76, 0.95
+# and 3.04 MB against 0.68 MB (EXPERIMENTS.md F3b⁗⁗‴).
 _PIECE_ROWS = 8192
 
 
@@ -214,14 +225,40 @@ def _window_and_inverse(
     bits = total.bit_length()
     if key_bound.bit_length() + bits > 62:
         return np.unique(keys, return_inverse=True)
-    packed = np.sort((keys << bits) | np.arange(total))
+    # In place where it can be: these temporaries are what a batch piece
+    # is sized by.
+    packed = keys << bits
+    packed |= np.arange(total)
+    packed.sort()
     ordered = packed >> bits
+    packed &= (1 << bits) - 1
     first = np.empty(total, dtype=bool)
     first[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    ranks = first.cumsum()
+    ranks -= 1
     inverse = np.empty(total, dtype=_INT)
-    inverse[packed & ((1 << bits) - 1)] = first.cumsum() - 1
+    inverse[packed] = ranks
     return ordered[first], inverse
+
+
+def _top_k(
+    ids: np.ndarray, scores: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k`` best neighbours by (similarity, id), both descending.
+
+    That is the BoundedTopK tie-break. ``np.partition`` bounds the sort
+    to the candidates at or above the k-th score; exact ties at the cut
+    are resolved by the id leg of the lexsort, matching the heap's
+    displacement rule. ``ids`` must be distinct.
+    """
+    if ids.shape[0] > k:
+        cutoff = np.partition(scores, ids.shape[0] - k)[ids.shape[0] - k]
+        at_or_above = scores >= cutoff
+        ids = ids[at_or_above]
+        scores = scores[at_or_above]
+    order = np.lexsort((-ids, -scores))[:k]
+    return ids[order], scores[order]
 
 
 @frozen_buffers(
@@ -692,20 +729,7 @@ class VMISKNNColumnar(BatchMixin):
             scores = np.bincount(
                 slots, weights=weights, minlength=retained.shape[0]
             )
-
-        # Top-k by (similarity, id), both descending — the BoundedTopK
-        # tie-break. np.partition bounds the sort to the candidates at or
-        # above the k-th score; exact ties at the cut are resolved by the
-        # id leg of the lexsort, matching the heap's displacement rule.
-        if retained.shape[0] > self.k:
-            cutoff = np.partition(scores, retained.shape[0] - self.k)[
-                retained.shape[0] - self.k
-            ]
-            at_or_above = scores >= cutoff
-            retained = retained[at_or_above]
-            scores = scores[at_or_above]
-        order = np.lexsort((-retained, -scores))[: self.k]
-        return retained[order], scores[order]
+        return _top_k(retained, scores, self.k)
 
     # -- item scoring (Lines 6-7 of Algorithm 2, vectorized) ----------------
 
@@ -820,34 +844,24 @@ class VMISKNNColumnar(BatchMixin):
     ) -> list[list[ScoredItem]]:
         """``[recommend(s, how_many) for s in sessions]``, bit for bit.
 
-        Neighbour search stays per session; item scoring runs once per
-        piece of the call (see :data:`_PIECE_ROWS`). The fused step has a
-        fixed cost a lone session does not repay (1.15-1.18x of
+        Neighbour search (``_batch_neighbors``) and item scoring
+        (``_score_piece``) each run once per piece of the call, not once
+        per session (see :data:`_PIECE_ROWS`). Both fused steps have a
+        fixed cost a lone session does not repay (scoring 1.15-1.18x of
         ``recommend`` at one session, 0.96-0.98x at two, 0.73-0.75x at
-        sixteen), so fewer than two sessions are answered by
-        ``recommend`` itself.
+        sixteen; search about 3x ``_neighbor_arrays`` at one session), so
+        fewer than two sessions are answered by ``recommend`` itself.
         """
         if len(sessions) < 2:
             return [self.recommend(items, how_many=how_many) for items in sessions]
         if self.scoring_style not in ("vmis", "vsknn"):
             raise ValueError(f"unknown scoring style {self.scoring_style!r}")
         results: list[list[ScoredItem]] = [[] for _ in sessions]
-        index = self.index
-        offsets = None if index is None else index.session_item_offsets
         piece: list[_Segment] = []
         rows = 0
-        for position, items in enumerate(sessions):
-            capped = self._capped(items)
-            neighbor_ids, neighbor_sims = self._neighbor_arrays(capped)
-            if neighbor_ids.shape[0] == 0:
-                continue  # empty session or no neighbour: [] as recommend
-            assert offsets is not None  # _neighbor_arrays raised otherwise
-            src_starts = offsets[neighbor_ids]
-            lengths = offsets[neighbor_ids + 1] - src_starts
-            piece.append(
-                _Segment(position, capped, neighbor_sims, src_starts, lengths)
-            )
-            rows += int(lengths.sum())
+        for entry in self._batch_neighbors([self._capped(s) for s in sessions]):
+            piece.append(entry)
+            rows += int(entry.lengths.sum())
             if rows >= _PIECE_ROWS:
                 self._score_piece(piece, how_many, results)
                 piece = []
@@ -855,6 +869,170 @@ class VMISKNNColumnar(BatchMixin):
         if piece:
             self._score_piece(piece, how_many, results)
         return results
+
+    def _batch_neighbors(
+        self, sessions: list[Sequence[ItemId]]
+    ) -> Iterator[_Segment]:
+        """``_neighbor_arrays`` of every (capped) session, as ``_Segment``s.
+
+        Sessions without a neighbour yield nothing; the others come in
+        call order. The posting runs of the whole call are collected and
+        pruned at once; the sort, the similarity sums and the cut then run
+        once per piece of sessions (see :data:`_PIECE_ROWS`).
+        """
+        index = self.index
+        if index is None:
+            if any(sessions):
+                raise RuntimeError("fit() must be called before recommending")
+            return
+        # The (posting row, decay weight, session number) of every run the
+        # sessions read, session-major and distinct-item newest-first
+        # within a session: the order ``_neighbor_arrays`` visits them.
+        decay_fn = resolve_decay(self.decay)
+        item_row = index._item_row
+        run_rows: list[int] = []
+        run_weights: list[float] = []
+        run_sessions: list[int] = []
+        for number, items in enumerate(sessions):
+            positions = insertion_orders(items)
+            for item in unique_items_reversed(items):
+                row = item_row.get(item)
+                if row is not None:
+                    run_rows.append(row)
+                    run_weights.append(decay_fn(positions[item], len(items)))
+                    run_sessions.append(number)
+        posting_rows = _as_int_array(run_rows)
+        offsets = index.posting_offsets
+        full = offsets[posting_rows + 1] - offsets[posting_rows]
+        live = full > 0
+        if not live.any():
+            return
+        posting_rows, full = posting_rows[live], full[live]
+        weights = _as_float_array(run_weights)[live]
+        owners = _as_int_array(run_sessions)[live]
+
+        # Each run's head of at most m ids in the ascending mirror, and
+        # each session's floor: the largest m-th id of its runs at least m
+        # long (-1, no pruning, when none is). A run of m ids or more puts
+        # m distinct ids at or above its m-th, so nothing below the floor
+        # can be retained. (``_neighbor_arrays`` floors only runs longer
+        # than m, so on an index whose runs are all capped at m it prunes
+        # nothing: about 1.5x the candidates on the serve ledger's.) One
+        # bisection of all runs at once moves every head's low end up to
+        # the first id at or above its session's floor.
+        m = self.m
+        asc = index.posting_sessions_asc
+        high = asc.shape[0] - offsets[posting_rows]
+        low = high - np.minimum(full, m)
+        floors = np.full(len(sessions), -1, dtype=_INT)
+        np.maximum.at(floors, owners, np.where(full >= m, asc[low], -1))
+        floor = floors[owners]
+        top = high
+        for _ in range(int((high - low).max()).bit_length()):
+            middle = (low + top) >> 1
+            below = asc[np.minimum(middle, high - 1)] < floor
+            open_ = low < top
+            low = np.where(open_ & below, middle + 1, low)
+            top = np.where(open_ & ~below, middle, top)
+        kept = high - low
+
+        # Pieces close at session boundaries once their candidates reach
+        # the bound; session s owns runs [run_bounds[s], run_bounds[s + 1]).
+        reach = np.zeros(kept.shape[0] + 1, dtype=_INT)
+        np.cumsum(kept, out=reach[1:])
+        run_bounds = owners.searchsorted(np.arange(len(sessions) + 1))
+        at_session = reach[run_bounds].tolist()
+        first = 0
+        for last in range(1, len(sessions) + 1):
+            if last == len(sessions) or (
+                at_session[last] - at_session[first] >= _PIECE_ROWS
+            ):
+                if at_session[last] > at_session[first]:
+                    runs = slice(int(run_bounds[first]), int(run_bounds[last]))
+                    yield from self._search_piece(
+                        sessions,
+                        first,
+                        last,
+                        low[runs],
+                        kept[runs],
+                        weights[runs],
+                        owners[runs],
+                    )
+                first = last
+
+    def _search_piece(
+        self,
+        sessions: list[Sequence[ItemId]],
+        first: int,
+        last: int,
+        starts: np.ndarray,
+        kept: np.ndarray,
+        weights: np.ndarray,
+        owners: np.ndarray,
+    ) -> list[_Segment]:
+        """Neighbour search of ``sessions[first:last]`` over their pruned
+        runs (``kept`` ids from ``starts`` in the ascending mirror)."""
+        index = self.index
+        assert index is not None
+        num_sessions = index.num_sessions
+        # One gather of every kept id, keyed ``segment * num_sessions +
+        # id``: each session owns its own contiguous key range.
+        dst_ends = kept.cumsum()
+        keys = np.arange(int(dst_ends[-1]))
+        keys += np.repeat(starts - (dst_ends - kept), kept)
+        keys = index.posting_sessions_asc[keys]
+        keys += np.repeat((owners - first) * num_sessions, kept)
+        window_keys, inverse = _window_and_inverse(
+            keys, (last - first) * num_sessions
+        )
+        del keys  # these temporaries are what the piece bound sizes
+        # bincount adds in input order: per key, the session's runs
+        # newest-item-first, the additions of the hashmap r.
+        scores = np.bincount(
+            inverse, weights=np.repeat(weights, kept), minlength=len(window_keys)
+        )
+        del inverse
+        bounds = window_keys.searchsorted(
+            np.arange(last - first + 1) * num_sessions
+        ).tolist()
+        m, k = self.m, self.k
+        numbers: list[int] = []
+        picked_ids: list[np.ndarray] = []
+        picked_sims: list[np.ndarray] = []
+        for segment in range(last - first):
+            low, high = bounds[segment], bounds[segment + 1]
+            if high == low:
+                continue
+            # The retained sample: the m largest distinct ids.
+            low = max(low, high - m)
+            neighbor_ids, sims = _top_k(
+                window_keys[low:high] - segment * num_sessions,
+                scores[low:high],
+                k,
+            )
+            numbers.append(first + segment)
+            picked_ids.append(neighbor_ids)
+            picked_sims.append(sims)
+        # The neighbours' item rows, read for the whole piece at once.
+        item_offsets = index.session_item_offsets
+        neighbor_ids = np.concatenate(picked_ids)
+        src_starts = item_offsets[neighbor_ids]
+        lengths = item_offsets[neighbor_ids + 1] - src_starts
+        segments: list[_Segment] = []
+        cursor = 0
+        for number, sims in zip(numbers, picked_sims):
+            end = cursor + sims.shape[0]
+            segments.append(
+                _Segment(
+                    number,
+                    sessions[number],
+                    sims,
+                    src_starts[cursor:end],
+                    lengths[cursor:end],
+                )
+            )
+            cursor = end
+        return segments
 
     def _score_piece(
         self,

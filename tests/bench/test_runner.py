@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.arms import ARMS, PROFILES
-from repro.bench.comparator import compare_dirs
+from repro.bench.comparator import DEFAULT_ENVELOPES, compare_dirs
 from repro.bench.runner import (
     DEFAULT_SEED,
     arm_names,
@@ -95,6 +95,12 @@ class TestRunArms:
             assert record.metric_value("throughput_rps") > 0
             assert 0.0 <= record.metric_value("sla_attainment") <= 1.0
             assert record.metric_value("peak_memory_bytes") > 0
+
+    def test_every_default_envelope_binds_a_reported_metric(self, smoke_records):
+        """An envelope for a metric no arm reports binds nothing."""
+        _, published = smoke_records
+        reported = {name for record, _ in published for name in record.metrics}
+        assert set(DEFAULT_ENVELOPES) <= reported
 
     def test_vectorized_arm_times_the_whole_scorer_too(self, smoke_records):
         """fig3a_vec reports neighbour search (core metrics) and the full

@@ -233,13 +233,19 @@ class TestBatchDeadlines:
 
 
 class CountingColumnar(VMISKNNColumnar):
-    """Counts the sessions that reach the scorer (one search each)."""
+    """Counts the sessions that reach the scorer (one search each): a lone
+    session is searched by ``_neighbor_arrays``, the sessions of a batch
+    call by one ``_batch_neighbors``."""
 
     searched = 0
 
     def _neighbor_arrays(self, session_items):
         self.searched += 1
         return super()._neighbor_arrays(session_items)
+
+    def _batch_neighbors(self, sessions):
+        self.searched += len(sessions)
+        return super()._batch_neighbors(sessions)
 
 
 class TestEngineAroundTheFusedScorer:

@@ -1,4 +1,5 @@
-"""What a pod holds of its index, and what loading it costs.
+"""What a pod holds of its index, what loading it costs, and what a
+batch call adds.
 
 A pod keeps its whole index in memory, so the bytes it holds per index
 decide how many pods fit on a machine. The columnar index holds eight
@@ -11,6 +12,11 @@ bytes at its tracemalloc peak. The decoder reaches about 1.9 times on
 the artifact below; one extra full copy of the buffers kept alive on the
 way, or a varint payload decoded through whole-payload temporaries, goes
 past the bound.
+
+A 64-session ``recommend_batch`` on the same index must stay within 1.5
+times the tracemalloc peak it had while neighbour search ran once per
+session: the fused search holds one piece of sessions' temporaries at
+a time, and a search of the whole call in one piece goes past the bound.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.colindex import ColumnarSessionIndex
+from repro.core.colindex import ColumnarSessionIndex, VMISKNNColumnar
 from repro.core.index import SessionIndex
 from repro.data.synthetic import generate_clickstream
 from repro.index.serialization import load_columnar, save_index
@@ -150,3 +156,36 @@ def test_a_read_only_view_of_writable_memory_is_copied():
     view.setflags(write=False)
     index = ColumnarSessionIndex(**columns(item_ids=view))
     assert not np.shares_memory(index.item_ids, owner)
+
+
+#: tracemalloc peak of one 64-session ``recommend_batch`` on the artifact
+#: above (m = 500, k = 100): 684 138 bytes measured while neighbour search
+#: ran one ``_neighbor_arrays`` per session. The fused search holds the
+#: temporaries of one piece of sessions at a time and reads 763 979 bytes;
+#: searched in one piece, the same call reads 1 666 262 bytes and fails.
+BATCH_PEAK_BYTES = int(1.5 * 684_138)
+
+
+def test_batch_call_peak_is_bounded(artifacts):
+    index = load_columnar(artifacts / "index.vmis")
+    model = VMISKNNColumnar(index, m=500, k=100, exclude_current_items=True)
+    sessions = []
+    for sid in range(index.num_sessions - 1, -1, -1):
+        items = list(index.items_of(sid))
+        if len(items) >= 3:
+            sessions.append(items)
+        if len(sessions) == 64:
+            break
+    model.recommend_batch(sessions)  # first-use imports and caches
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        model.recommend_batch(sessions)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= BATCH_PEAK_BYTES, f"peak {peak} bytes"

@@ -163,8 +163,9 @@ class TestRecommendBatchBitEquality:
         scoring_style=st.sampled_from(["vmis", "vsknn"]),
         exclude_current_items=st.booleans(),
         max_session_items=st.sampled_from([None, 1, 3]),
-        # Rows per piece: 1 closes a piece after every session, 9 after a
-        # few, the module's own value keeps these small batches whole.
+        # The piece bound, on search candidates and on scoring rows alike:
+        # 1 closes a piece after every session, 9 after a few, the
+        # module's own value keeps these small batches whole.
         piece_rows=st.sampled_from([1, 9, colindex._PIECE_ROWS]),
     )
     def test_recommend_batch_bit_equal(
@@ -228,6 +229,84 @@ class TestRecommendBatchBitEquality:
             assert _batch_bits(fused) == _batch_bits(
                 [model.recommend(query, how_many=20) for query in queries[:size]]
             )
+
+    # Explicit cases of the fused neighbour search. Each is checked at
+    # every piece bound the property draws.
+
+    @staticmethod
+    def _assert_bit_equal(model, batch):
+        expected = _batch_bits([model.recommend(q, how_many=20) for q in batch])
+        for piece_rows in (1, 9, colindex._PIECE_ROWS):
+            with mock.patch.object(colindex, "_PIECE_ROWS", piece_rows):
+                fused = model.recommend_batch(batch, how_many=20)
+            assert _batch_bits(fused) == expected, piece_rows
+        return expected
+
+    @staticmethod
+    def _small_log():
+        # Five sessions over items 10..14, one per timestamp.
+        sessions = [[10, 11], [10, 12], [11, 12, 13], [10, 13], [12, 14, 10]]
+        return [
+            Click(number, item, number * 10 + position)
+            for number, items in enumerate(sessions)
+            for position, item in enumerate(items)
+        ]
+
+    def test_an_empty_session_and_one_with_no_known_item(self):
+        model = VMISKNNColumnar.from_clicks(self._small_log(), m=3, k=3)
+        expected = self._assert_bit_equal(
+            model, [[], [10, 11], [999, 10**9], [12], []]
+        )
+        assert expected[0] == expected[2] == expected[4] == []
+        assert expected[1] and expected[3]
+
+    def test_a_lone_run_shorter_than_m_sets_no_floor(self):
+        # Item 14 has one session and item 13 two, both under m = 4: each
+        # of these sessions reads one run, and no run reaches m.
+        model = VMISKNNColumnar.from_clicks(self._small_log(), m=4, k=4)
+        assert len(model.index.sessions_for_item(13)) == 2 < model.m
+        self._assert_bit_equal(model, [[14], [13], [13, 13], [14, 999]])
+
+    def test_m_of_one(self):
+        # Every run holds one id, which is also every run's floor.
+        model = VMISKNNColumnar.from_clicks(self._small_log(), m=1, k=2)
+        self._assert_bit_equal(
+            model, [[10, 11, 12], [13, 10], [14], [11, 12, 13, 14], [10]]
+        )
+
+    def test_identical_sessions_in_one_call(self):
+        model = VMISKNNColumnar.from_clicks(self._small_log(), m=2, k=2)
+        expected = self._assert_bit_equal(model, [[10, 12]] * 3 + [[12, 10]])
+        assert expected[0] == expected[1] == expected[2]
+
+    def test_adjacent_sessions_own_adjacent_keys(self):
+        """The newest id, ``num_sessions - 1``, retained by one session
+        and id 0 by the next: their composite keys are neighbours, and a
+        key stride one short would make them collide."""
+        clicks = [
+            Click(1, 20, 1), Click(1, 21, 2),
+            Click(2, 30, 3), Click(2, 31, 4),
+            Click(3, 40, 5), Click(3, 41, 6),
+        ]
+        model = VMISKNNColumnar.from_clicks(clicks, m=2, k=2)
+        assert model.index.sessions_for_item(40) == [2]
+        assert model.index.sessions_for_item(20) == [0]
+        windows = []
+        real = colindex._window_and_inverse
+
+        def recorded(keys, key_bound):
+            window = real(keys, key_bound)
+            windows.append(window[0].tolist())
+            return window
+
+        with mock.patch.object(colindex, "_window_and_inverse", recorded):
+            fused = model.recommend_batch([[40], [20]], how_many=20)
+        assert windows[0] == [2, 3]  # 0 * 3 + 2 and 1 * 3 + 0
+        assert [[s.item_id for s in ranked] for ranked in fused] == [
+            [40, 41],
+            [20, 21],
+        ]
+        self._assert_bit_equal(model, [[40], [20]])
 
     def test_fewer_than_two_sessions_take_recommend(self):
         model = VMISKNNColumnar.from_clicks(
