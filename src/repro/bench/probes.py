@@ -17,16 +17,9 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from typing import Callable, Sequence
+from typing import Callable
 
-
-def percentile(samples: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile over raw samples (no numpy needed here)."""
-    if not samples:
-        raise ValueError("no samples collected")
-    ordered = sorted(samples)
-    rank = min(len(ordered) - 1, max(0, round(q / 100.0 * (len(ordered) - 1))))
-    return ordered[rank]
+from repro.core.deadline import percentile
 
 
 class LatencyProbe:

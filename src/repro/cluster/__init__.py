@@ -1,11 +1,6 @@
 """Cluster simulation: load tests, timelines and A/B experiments."""
 
-from repro.cluster.autoscaler import (
-    AutoscalePolicy,
-    AutoscaleRunResult,
-    AutoscalingSimulator,
-    ScalingAction,
-)
+from repro.cluster.autoscaler import AutoscalePolicy, ScalingAction
 from repro.cluster.costmodel import (
     DeploymentCost,
     MachinePrices,
@@ -53,8 +48,6 @@ from repro.cluster.simulation import ClusterSimulator, LoadTestResult, format_ti
 __all__ = [
     "ABTest",
     "AutoscalePolicy",
-    "AutoscaleRunResult",
-    "AutoscalingSimulator",
     "ScalingAction",
     "ChaosEventOutcome",
     "DeploymentCost",

@@ -271,9 +271,14 @@ class ChaosInjector:
         owner_before_kill: dict[str, str] = {}
         kill_time: dict[str, float] = {}
         streaming = getattr(self.cluster, "streaming", None)
+        # On a virtual clock the cluster's time follows the arrivals, so
+        # TTLs, breakers and deadlines see the timeline the schedule sees.
+        advance_to = getattr(self.cluster._clock, "advance_to", None)
 
         for timed in arrivals:
             now = timed.arrival_time
+            if advance_to is not None:
+                advance_to(now)
             self._apply_due_restarts(restarts, now, report)
             self._apply_due_kills(
                 pending, restarts, now, report, owner_before_kill, kill_time

@@ -10,18 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-
-def percentile(sorted_samples: list[float], q: float) -> float:
-    """Nearest-rank percentile of pre-sorted samples, q in [0, 100]."""
-    if not sorted_samples:
-        raise ValueError("no samples")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"q must be in [0, 100], got {q}")
-    position = min(
-        len(sorted_samples) - 1,
-        max(0, round(q / 100.0 * (len(sorted_samples) - 1))),
-    )
-    return sorted_samples[position]
+from repro.core.deadline import percentile
 
 
 @dataclass
@@ -34,7 +23,7 @@ class LatencyRecorder:
         self.samples.append(seconds)
 
     def percentile(self, q: float) -> float:
-        return percentile(sorted(self.samples), q)
+        return percentile(self.samples, q)
 
     def fraction_within(self, seconds: float) -> float:
         """Share of requests answered within ``seconds`` (SLA attainment).
@@ -50,11 +39,10 @@ class LatencyRecorder:
 
     def summary_ms(self) -> dict[str, float]:
         """The paper's three headline percentiles, in milliseconds."""
-        ordered = sorted(self.samples)
         return {
-            "p75": percentile(ordered, 75) * 1e3,
-            "p90": percentile(ordered, 90) * 1e3,
-            "p99.5": percentile(ordered, 99.5) * 1e3,
+            "p75": percentile(self.samples, 75) * 1e3,
+            "p90": percentile(self.samples, 90) * 1e3,
+            "p99.5": percentile(self.samples, 99.5) * 1e3,
         }
 
     def __len__(self) -> int:
@@ -105,7 +93,7 @@ class TimelineAggregator:
         """Aggregate all buckets, in time order."""
         stats = []
         for bucket in sorted(self._latencies):
-            latencies = sorted(self._latencies[bucket])
+            latencies = self._latencies[bucket]
             usage = {
                 pod: 100.0
                 * busy

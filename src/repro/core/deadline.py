@@ -6,12 +6,16 @@ request: it is created when the request enters the system and every stage
 that does work on the request's behalf asks it how much budget is left.
 Deadlines are based on a monotonic clock (never wall time, which can jump
 under NTP corrections) and the clock is injectable for tests.
+
+Whether the promise held is read off latency samples with
+:func:`percentile`, the one nearest-rank rule every simulator, probe and
+rollout gate here uses.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable
+from typing import Callable, Iterable
 
 Clock = Callable[[], float]
 
@@ -72,3 +76,14 @@ class Deadline:
             f"Deadline(budget={self.budget_seconds * 1e3:.1f}ms, "
             f"remaining={self.remaining() * 1e3:.1f}ms)"
         )
+
+
+def percentile(samples: Iterable[float], q: float) -> float:
+    """Nearest-rank percentile of ``samples`` (any order), q in [0, 100]."""
+    ordered = sorted(samples)
+    if not ordered:
+        raise ValueError("no samples")
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"q must be in [0, 100], got {q}")
+    rank = min(len(ordered) - 1, max(0, round(q / 100.0 * (len(ordered) - 1))))
+    return ordered[rank]

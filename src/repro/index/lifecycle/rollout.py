@@ -38,7 +38,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.cluster.metrics import percentile
+from repro.core.deadline import percentile
 from repro.core.predictor import SessionRecommender
 from repro.serving.app import RecommenderFactory, ServingCluster
 from repro.serving.server import RecommendationRequest
@@ -316,9 +316,9 @@ class RolloutController:
                 if elapsed is not None:
                     baseline_latencies.append(elapsed)
         if len(canary_latencies) >= policy.min_latency_samples:
-            stats.canary_p90 = percentile(sorted(canary_latencies), 90)
+            stats.canary_p90 = percentile(canary_latencies, 90)
         if len(baseline_latencies) >= policy.min_latency_samples:
-            stats.baseline_p90 = percentile(sorted(baseline_latencies), 90)
+            stats.baseline_p90 = percentile(baseline_latencies, 90)
         return stats
 
     def _judge_canary(self, stats: CanaryStats) -> str | None:

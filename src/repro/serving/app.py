@@ -97,9 +97,9 @@ class ServingCluster:
             clock: the cluster's time source: session TTLs, service-time
                 measurement and the guardrail machinery (deadlines,
                 breakers). ``None`` keeps the real clocks (monotonic, and
-                ``perf_counter`` for service times); the deterministic
-                simulation layer (:mod:`repro.testing.simulation`) injects
-                a :class:`~repro.testing.clock.VirtualClock` here.
+                ``perf_counter`` for service times); deterministic tests
+                inject a :class:`~repro.testing.clock.VirtualClock` here,
+                which the chaos injector paces to each arrival.
             cache_size: per-pod LRU result cache capacity on the
                 single-query path; 0 disables caching (seed behaviour).
             resilience: enable the SLA guardrail layer with this policy;

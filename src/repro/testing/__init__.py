@@ -1,4 +1,4 @@
-"""Correctness tooling: workload generators, differential oracle, simulation.
+"""Correctness tooling: workload generators, differential oracle, virtual time.
 
 Three pillars, one per module:
 
@@ -12,10 +12,12 @@ Three pillars, one per module:
   scorer, the batch engine and the study backends, diff the outputs, and
   ddmin-shrink any divergence to a minimal JSON repro under
   ``tests/regressions/``.
-* :mod:`repro.testing.clock` / :mod:`repro.testing.simulation` — a
-  virtual monotonic clock plus a fully virtualised serving cluster, so
-  chaos, resilience and rollout scenarios are exact, seed-replayable
-  unit tests with zero real sleeps.
+* :mod:`repro.testing.clock` — a virtual monotonic clock. A serving
+  cluster built on it (``ServingCluster(..., clock=VirtualClock())``)
+  reads only virtual time, the chaos injector paces it to each arrival
+  and a rollout controller sleeps on it, so chaos, resilience and
+  rollout scenarios are exact, seed-replayable unit tests with zero real
+  sleeps.
 
 See ``docs/testing.md`` for the guided tour.
 """
@@ -35,7 +37,6 @@ from repro.testing.oracle import (
     load_regression,
     write_regression,
 )
-from repro.testing.simulation import SimulatedCluster
 
 __all__ = [
     "VirtualClock",
@@ -49,5 +50,4 @@ __all__ = [
     "default_grid",
     "load_regression",
     "write_regression",
-    "SimulatedCluster",
 ]

@@ -157,6 +157,33 @@ def test_serve_loads_only_the_serving_stack(toy_index, tmp_path):
     )
 
 
+# What importing one module may not drag in. ``serve`` is to attach the
+# rollout controller, so the controller must stay off the simulators, the
+# neural baselines and the bench harness; the virtual clock is a test
+# double every layer uses, so it must load no layer that uses it.
+NOT_LOADED_BY = {
+    "repro.index.lifecycle.rollout": ("repro.baselines", "repro.cluster", "repro.bench"),
+    "repro.testing.clock": ("repro.cluster", "repro.index.lifecycle"),
+}
+
+
+@pytest.mark.parametrize("module", sorted(NOT_LOADED_BY))
+def test_module_loads_no_layer_above_it(module):
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    modules = json.loads(done.stdout)
+    for package in NOT_LOADED_BY[module]:
+        loaded = [m for m in modules if m == package or m.startswith(package + ".")]
+        assert not loaded, f"{module} imported {loaded}"
+
+
 @pytest.mark.parametrize("verb", VERBS)
 def test_every_verb_answers_help(verb, capsys):
     with pytest.raises(SystemExit) as exit_info:

@@ -1,14 +1,12 @@
-"""Tests for the autoscaling policy and simulator."""
+"""Tests for the autoscaling policy and the simulator that runs it."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cluster.autoscaler import (
-    AutoscalePolicy,
-    AutoscalingSimulator,
-)
+from repro.cluster.autoscaler import AutoscalePolicy
 from repro.cluster.loadgen import TimedRequest
+from repro.cluster.simulation import ClusterSimulator
 from repro.serving.app import ServingCluster
 from repro.serving.resilience import ResiliencePolicy
 from repro.serving.server import RecommendationRequest
@@ -76,10 +74,9 @@ class TestSimulator:
             min_pods=2,
             max_pods=5,
             cooldown_seconds=2.0,
+            evaluation_interval=2.0,
         )
-        simulator = AutoscalingSimulator(
-            cluster, policy, cores_per_pod=1, evaluation_interval=2.0
-        )
+        simulator = ClusterSimulator(cluster, cores_per_pod=1, policy=policy)
         result = simulator.run(arrivals(60, 20.0))
         assert result.total_requests == 1200
         up_actions = [a for a in result.actions if a.to_pods > a.from_pods]
@@ -95,10 +92,9 @@ class TestSimulator:
             min_pods=1,
             max_pods=4,
             cooldown_seconds=0.0,
+            evaluation_interval=1.0,
         )
-        simulator = AutoscalingSimulator(
-            cluster, policy, cores_per_pod=2, evaluation_interval=1.0
-        )
+        simulator = ClusterSimulator(cluster, cores_per_pod=2, policy=policy)
         result = simulator.run(arrivals(5, 10.0))
         down_actions = [a for a in result.actions if a.to_pods < a.from_pods]
         assert down_actions, "idle cluster should shrink"
@@ -112,10 +108,9 @@ class TestSimulator:
             min_pods=2,
             max_pods=10,
             cooldown_seconds=5.0,
+            evaluation_interval=1.0,
         )
-        simulator = AutoscalingSimulator(
-            cluster, policy, cores_per_pod=1, evaluation_interval=1.0
-        )
+        simulator = ClusterSimulator(cluster, cores_per_pod=1, policy=policy)
         result = simulator.run(arrivals(60, 10.0))
         # With a 5 s cooldown over 10 s there can be at most ~2-3 actions.
         assert len(result.actions) <= 3
@@ -128,10 +123,9 @@ class TestSimulator:
             min_pods=2,
             max_pods=3,
             cooldown_seconds=0.0,
+            evaluation_interval=1.0,
         )
-        simulator = AutoscalingSimulator(
-            cluster, policy, cores_per_pod=1, evaluation_interval=1.0
-        )
+        simulator = ClusterSimulator(cluster, cores_per_pod=1, policy=policy)
         result = simulator.run(arrivals(50, 10.0))
         assert result.max_pods_used <= 3
 
@@ -139,7 +133,7 @@ class TestSimulator:
         cluster = ServingCluster.with_index(
             toy_index, num_pods=2, m=5, k=5, resilience=ResiliencePolicy()
         )
-        simulator = AutoscalingSimulator(cluster, AutoscalePolicy(min_pods=2))
+        simulator = ClusterSimulator(cluster, policy=AutoscalePolicy(min_pods=2))
         result = simulator.run(arrivals(20, 5.0))
         assert result.total_requests == 100
         assert cluster.resilience_info()["requests"] == 100
@@ -147,8 +141,6 @@ class TestSimulator:
     def test_parameter_validation(self, toy_index):
         cluster = ServingCluster.with_index(toy_index, num_pods=1, m=5, k=5)
         with pytest.raises(ValueError):
-            AutoscalingSimulator(cluster, AutoscalePolicy(), cores_per_pod=0)
+            ClusterSimulator(cluster, cores_per_pod=0, policy=AutoscalePolicy())
         with pytest.raises(ValueError):
-            AutoscalingSimulator(
-                cluster, AutoscalePolicy(), evaluation_interval=0
-            )
+            ClusterSimulator(cluster, policy=AutoscalePolicy(evaluation_interval=0))

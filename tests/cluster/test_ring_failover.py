@@ -14,9 +14,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.autoscaler import AutoscalePolicy, AutoscalingSimulator
-from repro.cluster.chaos import ChaosSchedule, NetworkPartition, PodKill, PodSlowdown
+from repro.cluster.autoscaler import AutoscalePolicy
+from repro.cluster.chaos import (
+    ChaosInjector,
+    ChaosSchedule,
+    NetworkPartition,
+    PodKill,
+    PodSlowdown,
+)
 from repro.cluster.loadgen import TrafficGenerator, constant_rate
+from repro.cluster.simulation import ClusterSimulator
 from repro.core.index import SessionIndex
 from repro.core.vmis import VMISKNN
 from repro.serving.app import ServingCluster
@@ -26,7 +33,6 @@ from repro.serving.variants import ServingVariant
 from repro.testing.clock import VirtualClock
 from repro.testing.generators import WorkloadConfig
 from repro.testing.oracle import DifferentialRunner, HyperParams
-from repro.testing.simulation import SimulatedCluster
 
 pytestmark = pytest.mark.chaos
 
@@ -61,16 +67,13 @@ class TestZeroClickLoss:
 
     @pytest.mark.parametrize("seed", [11, 29, 47])
     def test_kill_storm_degrades_nothing(self, small_log, seed):
-        index = SessionIndex.from_clicks(small_log, max_sessions_per_item=100)
-        simulated = SimulatedCluster.with_index(
-            index, num_pods=5, m=100, k=50, replication=POLICY
-        )
+        cluster, _ = ring_cluster(small_log, num_pods=5)
         generator = TrafficGenerator(small_log, seed=seed)
         schedule = ChaosSchedule(
             [PodKill(at_time=4.0, pod_id="pod-1"), PodKill(at_time=8.0, pod_id="pod-3")]
         )
-        report = simulated.run(
-            generator.generate(constant_rate(60), duration=12), schedule
+        report = ChaosInjector(cluster, schedule).run(
+            generator.generate(constant_rate(60), duration=12)
         )
         assert report.total_requests > 100
         assert report.failed_requests == 0
@@ -243,16 +246,13 @@ class TestHedgedReads:
     def test_slowdown_storm_through_chaos_schedule(self, small_log):
         """A PodSlowdown storm: p99 stays within the 50 ms budget because
         every straggler-owned request hedges to a healthy follower."""
-        index = SessionIndex.from_clicks(small_log, max_sessions_per_item=100)
-        simulated = SimulatedCluster.with_index(
-            index, num_pods=4, m=100, k=50, replication=POLICY
-        )
+        cluster, _ = ring_cluster(small_log, num_pods=4)
         generator = TrafficGenerator(small_log, seed=21)
         schedule = ChaosSchedule(
             slowdowns=[PodSlowdown(at_time=0.0, pod_id="pod-0", delay_seconds=0.2)]
         )
-        report = simulated.run(
-            generator.generate(constant_rate(50), duration=10), schedule
+        report = ChaosInjector(cluster, schedule).run(
+            generator.generate(constant_rate(50), duration=10)
         )
         assert report.slowdowns_applied == 1
         assert report.failed_requests == 0
@@ -315,10 +315,7 @@ class TestPartitionFencing:
         assert cluster.ring_info()["fenced_sessions"] == 0
 
     def test_partition_storm_through_chaos_schedule(self, small_log):
-        index = SessionIndex.from_clicks(small_log, max_sessions_per_item=100)
-        simulated = SimulatedCluster.with_index(
-            index, num_pods=3, m=100, k=50, replication=POLICY
-        )
+        cluster, _ = ring_cluster(small_log, num_pods=3)
         generator = TrafficGenerator(small_log, seed=33)
         schedule = ChaosSchedule(
             partitions=[
@@ -327,8 +324,8 @@ class TestPartitionFencing:
                 )
             ]
         )
-        report = simulated.run(
-            generator.generate(constant_rate(50), duration=10), schedule
+        report = ChaosInjector(cluster, schedule).run(
+            generator.generate(constant_rate(50), duration=10)
         )
         assert report.partitions_applied == 1
         assert report.partitions_healed == 1
@@ -412,10 +409,9 @@ class TestAutoscalerThroughRing:
             min_pods=2,
             max_pods=4,
             cooldown_seconds=0.0,
+            evaluation_interval=5.0,
         )
-        simulator = AutoscalingSimulator(
-            cluster, policy, cores_per_pod=1, evaluation_interval=5.0
-        )
+        simulator = ClusterSimulator(cluster, cores_per_pod=1, policy=policy)
         generator = TrafficGenerator(small_log, seed=41)
         result = simulator.run(
             generator.generate(constant_rate(80), duration=30)
