@@ -13,9 +13,9 @@ import tempfile
 from pathlib import Path
 
 from repro.cluster import ClusterSimulator, TrafficGenerator, format_timeline, ramp_rate
-from repro.core import VMISKNN, SessionIndex
+from repro.core import SessionIndex
 from repro.data import generate_clickstream, temporal_split
-from repro.index import load_index, save_index
+from repro.index import load_columnar, save_index
 from repro.serving import (
     BusinessRules,
     RecommendationRequest,
@@ -49,15 +49,15 @@ def main() -> None:
         print(f"index artifact: {artifact} ({size / 1024:.0f} KiB)")
 
         # ---- online component (right half of Figure 1) ------------------
-        serving_index = load_index(artifact)
+        # As `repro serve` does: the artifact decoded straight into the
+        # columnar index the pods' vectorized scorer reads.
+        serving_index = load_columnar(artifact)
     out_of_stock = {1, 2, 3}
     rules = BusinessRules(
         [exclude_unavailable(out_of_stock), exclude_seen_in_session]
     )
-    cluster = ServingCluster(
-        lambda: VMISKNN(serving_index, m=500, k=100),
-        num_pods=2,
-        rules=rules,
+    cluster = ServingCluster.with_index(
+        serving_index, num_pods=2, m=500, k=100, rules=rules
     )
 
     # A user browses three products; each page view is one request.

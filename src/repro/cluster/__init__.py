@@ -30,7 +30,6 @@ from repro.cluster.loadgen import (
     constant_rate,
     diurnal_rate,
     ramp_rate,
-    spike_rate,
 )
 from repro.cluster.metrics import (
     BucketStats,
@@ -78,7 +77,6 @@ __all__ = [
     "format_timeline",
     "percentile",
     "ramp_rate",
-    "spike_rate",
     "two_proportion_ztest",
     "wilson_interval",
 ]

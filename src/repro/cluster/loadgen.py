@@ -55,24 +55,6 @@ def ramp_rate(start_rps: float, end_rps: float, duration: float) -> RateProfile:
     return profile
 
 
-def spike_rate(
-    base_rps: float, spike_rps: float, spike_start: float, spike_duration: float
-) -> RateProfile:
-    """A flash-crowd profile: flat base load with one rectangular spike.
-
-    The shape that exercises admission control — a televised ad or a
-    push notification multiplies traffic for a short window, and the
-    cluster must shed rather than queue itself past the SLA.
-    """
-
-    def profile(t: float) -> float:
-        if spike_start <= t < spike_start + spike_duration:
-            return spike_rps
-        return base_rps
-
-    return profile
-
-
 def diurnal_rate(
     low_rps: float, high_rps: float, peak_hour: float = 20.0
 ) -> RateProfile:

@@ -653,8 +653,8 @@ class VMISKNNColumnar(BatchMixin):
         # head of each run — its min(m, len) largest ids — can reach the
         # retained sample: runs are strictly descending distinct ids, so
         # entry m and beyond is dominated by m larger ids in its own run.
-        # While gathering, track the largest per-run m-th id: the global
-        # m-th largest *distinct* id over the union is at least that, so
+        # While gathering, track the largest m-th id of runs of m ids or
+        # more: the union's m-th largest *distinct* id is at least that, so
         # everything below it prunes by binary search before the sort —
         # the vectorized analogue of the heap path's early stopping.
         lows: list[int] = []
@@ -670,7 +670,7 @@ class VMISKNNColumnar(BatchMixin):
                 continue
             high = total - start
             low = total - end
-            if high - low > m:
+            if high - low >= m:
                 low = high - m
                 mth = asc[low]
                 if mth > prune_floor:
@@ -915,11 +915,9 @@ class VMISKNNColumnar(BatchMixin):
         # each session's floor: the largest m-th id of its runs at least m
         # long (-1, no pruning, when none is). A run of m ids or more puts
         # m distinct ids at or above its m-th, so nothing below the floor
-        # can be retained. (``_neighbor_arrays`` floors only runs longer
-        # than m, so on an index whose runs are all capped at m it prunes
-        # nothing: about 1.5x the candidates on the serve ledger's.) One
-        # bisection of all runs at once moves every head's low end up to
-        # the first id at or above its session's floor.
+        # can be retained. One bisection of all runs at once moves every
+        # head's low end up to the first id at or above its session's
+        # floor.
         m = self.m
         asc = index.posting_sessions_asc
         high = asc.shape[0] - offsets[posting_rows]

@@ -2,9 +2,10 @@
 
 The paper runs an exhaustive grid over 55 combinations of ``k`` (number of
 neighbours) and ``m`` (recent sessions per item) and plots MRR@20 and
-Prec@20 heatmaps. ``grid_search`` builds the index *once* at the largest
-``m`` (posting lists for smaller ``m`` are prefixes, so a query-time ``m``
-below the build-time cap is exact) and sweeps the query parameters.
+Prec@20 heatmaps. ``grid_search`` builds the columnar index *once* at the
+largest ``m`` (posting lists for smaller ``m`` are prefixes, so a
+query-time ``m`` below the build-time cap is exact) and sweeps the query
+parameters with the pods' scorer, ``VMISKNNColumnar``.
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.core.index import SessionIndex
+from repro.core.colindex import ColumnarSessionIndex, VMISKNNColumnar
 from repro.core.types import Click, ItemId, SessionId
-from repro.core.vmis import VMISKNN
 from repro.eval.evaluator import EvaluationResult, evaluate_next_item
 
 
@@ -93,7 +93,6 @@ def grid_search(
     ms: Sequence[int],
     cutoff: int = 20,
     max_predictions: int | None = None,
-    **vmis_kwargs,
 ) -> GridSearchResult:
     """Evaluate VMIS-kNN at every (k, m) combination.
 
@@ -102,11 +101,11 @@ def grid_search(
     """
     if not ks or not ms:
         raise ValueError("ks and ms must be non-empty")
-    index = SessionIndex.from_clicks(train_clicks, max_sessions_per_item=max(ms))
+    index = ColumnarSessionIndex.from_clicks(train_clicks, max_sessions_per_item=max(ms))
     points = []
     for k in ks:
         for m in ms:
-            model = VMISKNN(index, m=m, k=k, **vmis_kwargs)
+            model = VMISKNNColumnar(index, m=m, k=k)
             result = evaluate_next_item(
                 model, test_sequences, cutoff=cutoff, max_predictions=max_predictions
             )

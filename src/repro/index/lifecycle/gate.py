@@ -10,6 +10,9 @@ promoted index. A candidate that loses more than the configured
 Recall@20 / MRR@20 budget — or fails cheap structural sanity bounds —
 is refused.
 
+Both indexes are the ``ColumnarSessionIndex`` the registry loads, scored
+with ``VMISKNNColumnar``: the gate measures what the pods will serve.
+
 Checks:
 
 * **min_sessions / min_items** — an implausibly small index means the
@@ -28,9 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.core.index import SessionIndex
+import numpy as np
+
+from repro.core.colindex import ColumnarSessionIndex, VMISKNNColumnar
 from repro.core.types import ItemId, SessionId
-from repro.core.vmis import VMISKNN
 from repro.eval.evaluator import evaluate_next_item
 
 
@@ -116,9 +120,9 @@ class CanaryQualityGate:
 
     def evaluate(
         self,
-        candidate: SessionIndex,
+        candidate: ColumnarSessionIndex,
         holdout: HoldoutSequences,
-        current: SessionIndex | None = None,
+        current: ColumnarSessionIndex | None = None,
     ) -> GateReport:
         """Run structural checks, then the holdout quality comparison.
 
@@ -164,8 +168,8 @@ class CanaryQualityGate:
 
     def _structural_checks(
         self,
-        candidate: SessionIndex,
-        current: SessionIndex | None,
+        candidate: ColumnarSessionIndex,
+        current: ColumnarSessionIndex | None,
         report: GateReport,
     ) -> None:
         policy = self.policy
@@ -184,9 +188,7 @@ class CanaryQualityGate:
                 f"{candidate.num_items} items (need >= {policy.min_items})",
             )
         )
-        longest = max(
-            (len(p) for p in candidate.item_to_sessions.values()), default=0
-        )
+        longest = int(np.diff(candidate.posting_offsets).max(initial=0))
         report.checks.append(
             GateCheck(
                 "posting_bounds",
@@ -196,10 +198,8 @@ class CanaryQualityGate:
             )
         )
         if current is not None and current.num_items > 0:
-            covered = len(
-                set(candidate.item_to_sessions) & set(current.item_to_sessions)
-            )
-            ratio = covered / current.num_items
+            covered = np.intersect1d(candidate.item_ids, current.item_ids)
+            ratio = covered.shape[0] / current.num_items
             report.checks.append(
                 GateCheck(
                     "item_coverage",
@@ -210,10 +210,10 @@ class CanaryQualityGate:
             )
 
     def _measure(
-        self, index: SessionIndex, holdout: HoldoutSequences
+        self, index: ColumnarSessionIndex, holdout: HoldoutSequences
     ) -> dict[str, float]:
         policy = self.policy
-        model = VMISKNN(
+        model = VMISKNNColumnar(
             index, m=policy.m, k=policy.k, exclude_current_items=True
         )
         result = evaluate_next_item(

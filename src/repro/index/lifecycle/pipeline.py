@@ -8,9 +8,11 @@ hardening this package adds at every hand-off:
 * the click log is validated first — a quarantine rate above the policy
   budget refuses the build outright (the day's export is untrustworthy);
 * the built index is registered as a versioned, checksummed artifact;
-* promotion runs the canary quality gate against the currently promoted
+* promotion decodes the candidate once, into the columnar index the pods
+  serve, and runs the canary quality gate against the currently promoted
   version on a holdout slice;
-* rollout, when a cluster is attached, is staged with automatic
+* rollout, when a cluster is attached, serves that same object; it is
+  staged with automatic
   rollback; the registry's CURRENT pointer only moves when the gate
   passed, so a corrupt or anomalous build can never become the version
   restarted pods converge to.
@@ -116,7 +118,7 @@ class DailyIndexLifecycle:
 
     def _gate(
         self,
-        candidate: SessionIndex,
+        candidate: ColumnarSessionIndex,
         holdout: Sequence[Sequence[ItemId]],
     ) -> GateReport:
         """Run the canary quality gate for a decoded candidate.
@@ -125,7 +127,7 @@ class DailyIndexLifecycle:
         corruption fallback); a first-ever candidate is gated on
         structural checks only.
         """
-        current: SessionIndex | None = None
+        current: ColumnarSessionIndex | None = None
         if self.registry.current_version() is not None:
             current, _ = self.registry.load_current()
         gate = CanaryQualityGate(self.gate_policy)
@@ -145,7 +147,7 @@ class DailyIndexLifecycle:
         """
         outcome = LifecycleOutcome()
         try:
-            # Decoded once: the gate reads it and the rollout converts it.
+            # Decoded once: the gate scores it and every pod serves it.
             candidate = self.registry.load(version)
             outcome.gate = self._gate(candidate, holdout)
         except (ValueError, RegistryError) as error:
@@ -165,13 +167,11 @@ class DailyIndexLifecycle:
         if cluster is None:
             return outcome
 
-        # Converted once, here: every pod the factory builds shares it.
-        index = ColumnarSessionIndex.from_session_index(candidate)
         policy = self.gate_policy
         controller = RolloutController(cluster, self.rollout_policy)
         outcome.rollout = controller.run(
             lambda: VMISKNNColumnar(
-                index, m=policy.m, k=policy.k, exclude_current_items=True
+                candidate, m=policy.m, k=policy.k, exclude_current_items=True
             ),
             version=version,
         )

@@ -20,6 +20,8 @@ the registry hardens it:
 * loading verifies the checksum before deserialisation and **falls back
   to the previous good version** when the current artifact is corrupt —
   a bad daily build degrades to yesterday's index, never to an outage.
+  A version loads as the ``ColumnarSessionIndex`` a pod serves, through
+  the decoder ``repro serve`` uses, so a layout it refuses falls back too.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+from repro.core.colindex import ColumnarSessionIndex
 from repro.core.index import SessionIndex
 from repro.core.locking import guarded_by
-from repro.index.serialization import deserialize_index, serialize_index
+from repro.index.serialization import deserialize_columnar, serialize_index
 
 ARTIFACT_NAME = "index.vmis"
 MANIFEST_NAME = "manifest.json"
@@ -225,18 +228,19 @@ class IndexRegistry:
             )
         return data
 
-    def load(self, version: str) -> SessionIndex:
+    def load(self, version: str) -> ColumnarSessionIndex:
         """Load one version, verifying checksum before deserialisation."""
-        return deserialize_index(self._read_verified(version))
+        return deserialize_columnar(self._read_verified(version))
 
-    def load_current(self) -> tuple[SessionIndex, str]:
+    def load_current(self) -> tuple[ColumnarSessionIndex, str]:
         """Load the promoted version, falling back past corrupt artifacts.
 
         Walks from CURRENT towards older versions until one verifies and
-        deserialises (a file that is not ``VMIS``, whatever its checksum,
-        does not); every skipped version is recorded in
-        :attr:`last_fallbacks`. Raises :class:`RegistryError` only when
-        *no* version at or below CURRENT is loadable.
+        deserialises (a file that is not ``VMIS`` or whose layout the
+        columnar index refuses does not, whatever its checksum); every
+        skipped version is recorded in :attr:`last_fallbacks`. Raises
+        :class:`RegistryError` only when *no* version at or below CURRENT
+        is loadable.
         """
         with self._lock:
             self._fallbacks = []

@@ -23,8 +23,8 @@ cuts each section out of the decoded array once, rebuilds all posting
 runs in place with one cumulative sum, and returns flat arrays
 (:class:`~repro.core.index.IndexColumns`). :func:`deserialize_index` /
 :func:`load_index` unpack those arrays into a :class:`SessionIndex`;
-:func:`load_columnar` gives them to :class:`ColumnarSessionIndex` as
-they are, so a pod that serves the columnar layout never builds the
+:func:`deserialize_columnar` (``serve`` and the registry) gives them to
+:class:`ColumnarSessionIndex` as they are, so a pod never builds the
 row-oriented index on the way. Values are ``int64``: a varint wider than
 63 bits is refused.
 
@@ -223,7 +223,7 @@ def _decode_index(data: bytes) -> IndexColumns:
     """The one ``VMIS`` decoder: container bytes to flat index arrays.
 
     :func:`deserialize_index` unpacks the arrays into a
-    :class:`SessionIndex`; :func:`load_columnar` hands them to
+    :class:`SessionIndex`; :func:`deserialize_columnar` hands them to
     :class:`ColumnarSessionIndex` as they are. Magic, CRC and version are
     checked before anything is decoded, and only the record structure (a
     count per session, three header values per item) is walked in Python.
@@ -320,6 +320,15 @@ def deserialize_index(data: bytes) -> SessionIndex:
     return SessionIndex.from_columns(_decode_index(data))
 
 
+def deserialize_columnar(data: bytes) -> ColumnarSessionIndex:
+    """Parse the binary container into the columnar index a pod serves.
+
+    Raises ``ValueError`` for a layout the columnar constructor refuses,
+    too: a posting id past the last session, which the row decoder keeps.
+    """
+    return ColumnarSessionIndex(**_decode_index(data)._asdict())
+
+
 def save_index(index: SessionIndex, path: str | Path) -> int:
     """Write an index artifact; returns the number of bytes written."""
     data = serialize_index(index)
@@ -333,9 +342,5 @@ def load_index(path: str | Path) -> SessionIndex:
 
 
 def load_columnar(path: str | Path) -> ColumnarSessionIndex:
-    """Load an artifact as the columnar index a pod serves from.
-
-    The artifact is decoded straight into the columnar buffers; the
-    row-oriented :class:`SessionIndex` is never built.
-    """
-    return ColumnarSessionIndex(**_decode_index(Path(path).read_bytes())._asdict())
+    """Load an artifact as the columnar index a pod serves from."""
+    return deserialize_columnar(Path(path).read_bytes())

@@ -24,6 +24,7 @@ from repro.index.lifecycle import (
     RolloutPolicy,
 )
 from repro.index.lifecycle.registry import ARTIFACT_NAME
+from repro.index.serialization import load_index
 from repro.serving.app import ServingCluster
 from repro.serving.http import SerenadeService
 from repro.serving.server import RecommendationRequest
@@ -78,8 +79,11 @@ def drive_traffic(cluster, count, prefix, failures):
 
 
 def version_factory(registry, version):
+    """Pods of the heap oracle over the version's artifact (a corrupt one
+    fails its CRC, so every pod load of it fails)."""
+    artifact = registry.root / version / ARTIFACT_NAME
     return lambda: VMISKNN(
-        registry.load(version), m=100, k=50, exclude_current_items=True
+        load_index(artifact), m=100, k=50, exclude_current_items=True
     )
 
 

@@ -11,12 +11,15 @@ count of calls, which, unlike a timing, does not drift with the machine.
 
 from __future__ import annotations
 
+import random
 import sys
 
+import numpy as np
 import pytest
 
 from repro.core import colindex
 from repro.core.colindex import VMISKNNColumnar
+from repro.core.types import Click
 from repro.data.synthetic import generate_clickstream
 
 SESSIONS = 64  # the serve ledger's sessions per /v1/recommend_batch call
@@ -90,3 +93,60 @@ def test_one_packed_sort_per_search_piece(model, sessions, monkeypatch):
     assert callers.count("_search_piece") == len(pieces)
     # The rest are item scoring's windows, one per scoring piece.
     assert set(callers) == {"_search_piece", "_score_piece"}
+
+
+class _SortSpy:
+    """numpy as ``colindex`` sees it, keeping a copy of what it sorts."""
+
+    def __init__(self):
+        self.sorted = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sort(self, values, *args, **kwargs):
+        self.sorted.append(values.copy())
+        return np.sort(values, *args, **kwargs)
+
+
+def test_single_and_batch_searches_share_one_prune_floor(monkeypatch):
+    """The floor is the largest m-th id of the runs of m ids or more, in
+    both searches: on an index whose runs are all exactly m long (every
+    run capped, as on the serve ledger), ``_neighbor_arrays`` sorts the
+    candidates the batch search keeps for the same session."""
+    m = 20
+    rng = random.Random(5)
+    clicks = [
+        Click(session, item, session * 10 + position)
+        for session in range(300)
+        for position, item in enumerate(rng.sample(range(6), 3))
+    ]
+    model = VMISKNNColumnar.from_clicks(clicks, m=m, k=10)
+    index = model.index
+    assert set(np.diff(index.posting_offsets).tolist()) == {m}
+    sessions = [[0, 1, 2], [3, 4], [5, 0, 3, 1]]
+
+    kept_by_session = {}
+    search_piece = model._search_piece
+
+    def counted_piece(sessions_, first, last, starts, kept, weights, owners):
+        for number in range(first, last):
+            runs = np.flatnonzero(owners == number)
+            kept_by_session[number] = np.concatenate(
+                [
+                    index.posting_sessions_asc[starts[run] : starts[run] + kept[run]]
+                    for run in runs
+                ]
+            )
+        return search_piece(sessions_, first, last, starts, kept, weights, owners)
+
+    monkeypatch.setattr(model, "_search_piece", counted_piece)
+    model.recommend_batch(sessions)
+    spy = _SortSpy()
+    monkeypatch.setattr(colindex, "np", spy)
+    for number, items in enumerate(sessions):
+        model.find_neighbors(items)
+        assert len(spy.sorted) == number + 1
+        assert spy.sorted[-1].tolist() == kept_by_session[number].tolist()
+        # The floor prunes: fewer than the m-id heads of every run.
+        assert spy.sorted[-1].shape[0] < m * len(items)

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.index import SessionIndex
+from repro.core.colindex import ColumnarSessionIndex
 from repro.core.types import Click
 from repro.data.split import temporal_split
-from repro.index.builder import IndexBuilder
 from repro.index.lifecycle.gate import CanaryQualityGate, GatePolicy
 
 
@@ -23,7 +22,28 @@ def holdout(split):
 
 @pytest.fixture(scope="module")
 def healthy_index(split):
-    return IndexBuilder(max_sessions_per_item=100).build(list(split.train))
+    return ColumnarSessionIndex.from_clicks(
+        list(split.train), max_sessions_per_item=100
+    )
+
+
+@pytest.fixture(scope="module")
+def starved_index(split):
+    """Built from 5% of the training data: measurably worse."""
+    train = list(split.train)
+    return ColumnarSessionIndex.from_clicks(
+        train[: len(train) // 20], max_sessions_per_item=100
+    )
+
+
+STARVED_POLICY = GatePolicy(
+    max_recall_drop=0.05,
+    max_mrr_drop=0.05,
+    min_coverage_ratio=0.0,
+    min_sessions=1,
+    min_items=1,
+    max_predictions=100,
+)
 
 
 def tiny_index(num_sessions=3, num_items=2):
@@ -32,7 +52,7 @@ def tiny_index(num_sessions=3, num_items=2):
         for s in range(num_sessions)
         for i in range(2)
     ]
-    return SessionIndex.from_clicks(clicks, max_sessions_per_item=10)
+    return ColumnarSessionIndex.from_clicks(clicks, max_sessions_per_item=10)
 
 
 class TestPolicy:
@@ -74,7 +94,7 @@ class TestStructuralChecks:
         offset_clicks = [
             Click(s, 100_000 + i, s * 50 + i) for s in range(40) for i in range(3)
         ]
-        candidate = SessionIndex.from_clicks(
+        candidate = ColumnarSessionIndex.from_clicks(
             offset_clicks, max_sessions_per_item=50
         )
         gate = CanaryQualityGate(GatePolicy(min_coverage_ratio=0.5))
@@ -101,23 +121,11 @@ class TestQualityChecks:
             report.baseline_metrics["recall"]
         )
 
-    def test_degraded_candidate_refused(self, healthy_index, split, holdout):
-        # candidate built from 5% of the training data: measurably worse
-        train = list(split.train)
-        starved = IndexBuilder(max_sessions_per_item=100).build(
-            train[: len(train) // 20]
-        )
-        gate = CanaryQualityGate(
-            GatePolicy(
-                max_recall_drop=0.05,
-                max_mrr_drop=0.05,
-                min_coverage_ratio=0.0,
-                min_sessions=1,
-                min_items=1,
-                max_predictions=100,
-            )
-        )
-        report = gate.evaluate(starved, holdout, current=healthy_index)
+    def test_degraded_candidate_refused(
+        self, healthy_index, starved_index, holdout
+    ):
+        gate = CanaryQualityGate(STARVED_POLICY)
+        report = gate.evaluate(starved_index, holdout, current=healthy_index)
         assert not report.passed
         failed = {c.name for c in report.checks if not c.passed}
         assert failed & {"recall_delta", "mrr_delta"}
@@ -133,4 +141,124 @@ class TestQualityChecks:
             "min_sessions",
             "recall_delta",
             "mrr_delta",
+        }
+
+
+def hexed(summary):
+    """``GateReport.summary()`` with every metric spelled ``float.hex()``."""
+    return {
+        **summary,
+        "candidate_metrics": {
+            name: value.hex() for name, value in summary["candidate_metrics"].items()
+        },
+        "baseline_metrics": {
+            name: value.hex() for name, value in summary["baseline_metrics"].items()
+        },
+    }
+
+
+class TestGoldenReports:
+    """The whole report of two fixed decisions, bit for bit.
+
+    Recorded when the gate still scored with the heap ``VMISKNN`` over a
+    ``SessionIndex``: the columnar scorer reaches the same decisions with
+    the same metrics, to the last bit.
+    """
+
+    def test_healthy_against_healthy(self, healthy_index, holdout):
+        gate = CanaryQualityGate(GatePolicy(max_predictions=50))
+        report = gate.evaluate(healthy_index, holdout, current=healthy_index)
+        metrics = {
+            "recall": "0x1.2e402bb0cf87ep-1",
+            "mrr": "0x1.170e45239f7dfp-2",
+            "hit_rate": "0x1.3333333333333p-1",
+            "predictions": "0x1.9000000000000p+5",
+        }
+        assert hexed(report.summary()) == {
+            "passed": True,
+            "candidate_metrics": metrics,
+            "baseline_metrics": metrics,
+            "checks": [
+                {
+                    "name": "min_sessions",
+                    "passed": True,
+                    "detail": "697 sessions (need >= 10)",
+                },
+                {
+                    "name": "min_items",
+                    "passed": True,
+                    "detail": "263 items (need >= 5)",
+                },
+                {
+                    "name": "posting_bounds",
+                    "passed": True,
+                    "detail": "longest posting list 100 (cap m=100)",
+                },
+                {
+                    "name": "item_coverage",
+                    "passed": True,
+                    "detail": "covers 100.0% of current catalogue (need >= 50%)",
+                },
+                {
+                    "name": "recall_delta",
+                    "passed": True,
+                    "detail": "candidate 0.5903 vs baseline 0.5903 (floor 0.5313)",
+                },
+                {
+                    "name": "mrr_delta",
+                    "passed": True,
+                    "detail": "candidate 0.2725 vs baseline 0.2725 (floor 0.2453)",
+                },
+            ],
+        }
+
+    def test_starved_against_healthy(self, healthy_index, starved_index, holdout):
+        gate = CanaryQualityGate(STARVED_POLICY)
+        report = gate.evaluate(starved_index, holdout, current=healthy_index)
+        assert hexed(report.summary()) == {
+            "passed": False,
+            "candidate_metrics": {
+                "recall": "0x1.38a94d242e6bcp-2",
+                "mrr": "0x1.b8caf7bd72880p-4",
+                "hit_rate": "0x1.147ae147ae148p-2",
+                "predictions": "0x1.9000000000000p+6",
+            },
+            "baseline_metrics": {
+                "recall": "0x1.481b4e81b4e80p-1",
+                "mrr": "0x1.e7258b7b2944ap-3",
+                "hit_rate": "0x1.3851eb851eb85p-1",
+                "predictions": "0x1.9000000000000p+6",
+            },
+            "checks": [
+                {
+                    "name": "min_sessions",
+                    "passed": True,
+                    "detail": "30 sessions (need >= 1)",
+                },
+                {
+                    "name": "min_items",
+                    "passed": True,
+                    "detail": "77 items (need >= 1)",
+                },
+                {
+                    "name": "posting_bounds",
+                    "passed": True,
+                    "detail": "longest posting list 6 (cap m=100)",
+                },
+                {
+                    "name": "item_coverage",
+                    "passed": True,
+                    "detail": "covers 29.3% of current catalogue (need >= 0%)",
+                },
+                {
+                    "name": "recall_delta",
+                    "passed": False,
+                    "detail": "candidate 0.3053 vs baseline 0.6408 (floor 0.6088)",
+                },
+                {
+                    "name": "mrr_delta",
+                    "passed": False,
+                    "detail": "candidate 0.1076 vs baseline 0.2379 (floor 0.2260)",
+                },
+            ],
         }

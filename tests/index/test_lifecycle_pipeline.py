@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.colindex import VMISKNNColumnar
@@ -16,7 +18,8 @@ from repro.index.lifecycle import (
     IngestionPolicy,
     RolloutPolicy,
 )
-from repro.index.serialization import serialize_index
+from repro.index.lifecycle.registry import ARTIFACT_NAME
+from repro.index.serialization import load_index, serialize_index
 from repro.serving.app import ServingCluster
 
 
@@ -44,6 +47,18 @@ def make_lifecycle(tmp_path, **kwargs):
         max_sessions_per_item=100,
         **kwargs,
     )
+
+
+def out_of_range_posting(index):
+    """``index`` with its first posting run headed by ``num_sessions + 5``.
+
+    The run still descends, so ``serialize_index`` writes it and the
+    registry checksums it like any other artifact.
+    """
+    first = min(index.item_to_sessions)
+    runs = dict(index.item_to_sessions)
+    runs[first] = [index.num_sessions + 5, *runs[first][1:]]
+    return dataclasses.replace(index, item_to_sessions=runs)
 
 
 class TestBuildAndRegister:
@@ -74,9 +89,8 @@ class TestBuildAndRegister:
             "postings_after_truncation": report.postings_after_truncation,
             "distinct_items": report.distinct_items,
         }
-        assert serialize_index(
-            lifecycle.registry.load(manifest.version)
-        ) == serialize_index(reference)
+        artifact = lifecycle.registry.root / manifest.version / ARTIFACT_NAME
+        assert artifact.read_bytes() == serialize_index(reference)
 
     def test_untrustworthy_log_refused(self, tmp_path):
         lifecycle = make_lifecycle(
@@ -113,6 +127,23 @@ class TestPromotion:
         assert outcome.refusal_reasons
         assert lifecycle.registry.current_version() == "v000001"
 
+    def test_out_of_range_posting_refused_at_the_artifact(
+        self, tmp_path, split, holdout
+    ):
+        """A checksum-valid artifact naming a session the index does not
+        hold is refused when it is decoded, before anything scores it."""
+        lifecycle = make_lifecycle(tmp_path)
+        good, _ = lifecycle.build_and_register(list(split.train))
+        lifecycle.promote(good.version, holdout)
+        index = IndexBuilder(max_sessions_per_item=100).build(list(split.train))
+        forged = lifecycle.registry.register(out_of_range_posting(index))
+        assert lifecycle.registry.verify(forged.version)
+        outcome = lifecycle.promote(forged.version, holdout)
+        assert outcome.refused_at == "artifact"
+        assert "out of range" in outcome.refusal_reasons[0]
+        assert outcome.gate is None
+        assert lifecycle.registry.current_version() == good.version
+
 
 class TestFullRun:
     def test_day_zero_through_rollout(self, tmp_path, split, holdout):
@@ -139,14 +170,12 @@ class TestFullRun:
         assert info["committed_version"] == outcome.manifest.version
         assert info["consistent"]
         # The rollout keeps every pod on the columnar engine, answering as
-        # the heap oracle does.
+        # the heap oracle of the promoted version's artifact does.
         served = [pod.recommender for pod in cluster.pods.values()]
         assert [type(model) for model in served] == [VMISKNNColumnar] * 3
+        artifact = lifecycle.registry.root / outcome.manifest.version / ARTIFACT_NAME
         oracle = VMISKNN(
-            lifecycle.registry.load(outcome.manifest.version),
-            m=100,
-            k=50,
-            exclude_current_items=True,
+            load_index(artifact), m=100, k=50, exclude_current_items=True
         )
         for sequence in list(holdout.values())[:20]:
             assert served[0].recommend(sequence) == oracle.recommend(sequence)

@@ -6,8 +6,10 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from repro.core.colindex import ColumnarSessionIndex
 from repro.core.types import Click
 from repro.index.builder import IndexBuilder
 from repro.index.lifecycle.registry import (
@@ -19,6 +21,7 @@ from repro.index.lifecycle.registry import (
     RegistryError,
     atomic_write_bytes,
 )
+from repro.index.serialization import load_columnar, load_index
 
 
 def make_index(num_sessions=20, offset=0):
@@ -28,6 +31,20 @@ def make_index(num_sessions=20, offset=0):
         for i in range(3)
     ]
     return IndexBuilder(max_sessions_per_item=50).build(clicks)
+
+
+def artifact_of(registry, version):
+    return registry.root / version / ARTIFACT_NAME
+
+
+def assert_same_buffers(index, other):
+    """The eight buffers a pod holds, equal value for value."""
+    names = ColumnarSessionIndex.__frozen_buffers__
+    assert len(names) == 8
+    for name in names:
+        left, right = getattr(index, name), getattr(other, name)
+        assert left.dtype == right.dtype, name
+        assert np.array_equal(left, right), name
 
 
 @pytest.fixture()
@@ -139,8 +156,11 @@ class TestLoading:
         index = make_index()
         registry.register(index)
         loaded = registry.load("v000001")
+        assert isinstance(loaded, ColumnarSessionIndex)
         assert loaded.num_sessions == index.num_sessions
-        assert loaded.item_to_sessions == index.item_to_sessions
+        assert_same_buffers(loaded, load_columnar(artifact_of(registry, "v000001")))
+        oracle = load_index(artifact_of(registry, "v000001"))
+        assert oracle.item_to_sessions == index.item_to_sessions
 
     def test_load_detects_corruption_before_deserialize(self, registry):
         registry.register(make_index())
@@ -174,7 +194,9 @@ class TestLoading:
         index, version = registry.load_current()
         assert version == "v000001"
         assert registry.last_fallbacks == ["v000002"]
-        assert index.item_to_sessions == good.item_to_sessions
+        assert_same_buffers(index, load_columnar(artifact_of(registry, "v000001")))
+        oracle = load_index(artifact_of(registry, "v000001"))
+        assert oracle.item_to_sessions == good.item_to_sessions
 
     def test_load_current_skips_a_verified_vmic_file(self, registry):
         """A version whose file has the magic of the retired columnar
@@ -197,7 +219,30 @@ class TestLoading:
         index, version = registry.load_current()
         assert version == "v000001"
         assert registry.last_fallbacks == ["v000002"]
-        assert index.item_to_sessions == good.item_to_sessions
+        assert_same_buffers(index, load_columnar(artifact_of(registry, "v000001")))
+        oracle = load_index(artifact_of(registry, "v000001"))
+        assert oracle.item_to_sessions == good.item_to_sessions
+
+    def test_load_current_skips_an_out_of_range_posting(self, registry):
+        """A checksum-valid artifact whose first posting run names session
+        ``num_sessions + 5`` is refused by the decoder and skipped."""
+        good = make_index()
+        registry.register(good)
+        forged = make_index(offset=3)
+        first = min(forged.item_to_sessions)
+        runs = dict(forged.item_to_sessions)
+        runs[first] = [forged.num_sessions + 5, *runs[first][1:]]
+        registry.register(dataclasses.replace(forged, item_to_sessions=runs))
+        registry.promote("v000002")
+        assert registry.verify("v000002")
+        with pytest.raises(ValueError, match="out of range"):
+            registry.load("v000002")
+        index, version = registry.load_current()
+        assert version == "v000001"
+        assert registry.last_fallbacks == ["v000002"]
+        assert_same_buffers(index, load_columnar(artifact_of(registry, "v000001")))
+        oracle = load_index(artifact_of(registry, "v000001"))
+        assert oracle.item_to_sessions == good.item_to_sessions
 
     def test_load_current_all_corrupt_raises(self, registry):
         registry.register(make_index())
